@@ -21,6 +21,7 @@ import itertools
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -32,6 +33,8 @@ from repro.striping import pipeline
 from repro.striping.checksum import crc32c
 
 OPS = ("encode", "repair", "stream_repair", "degraded_read")
+#: Tail index of the ``"heavy"`` size distribution.
+PARETO_ALPHA = 0.6
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,13 @@ class DataSpec:
     """The file mix of one workload.
 
     ``sizes`` is ``"bulk"`` (``full_stripes`` full stripes plus a ragged
-    tail of up to one stripe) or ``"heavy"`` (a truncated Pareto from
-    ``min_bytes`` up to ``full_stripes`` stripes).  ``patterns`` is
-    ``"cached"`` (a few erasure patterns per code, inside the codes'
-    16-entry packed-table caches) or ``"all"`` (every 1- and 2-slot
-    pattern, 105 per (10, 4) code).
+    tail of up to one stripe) or ``"heavy"`` (a truncated Pareto with
+    index ``PARETO_ALPHA`` from ``min_bytes`` up to ``full_stripes``
+    stripes).  ``patterns`` is ``"cached"`` (a few erasure patterns per
+    code, inside the codes' 16-entry packed-table caches) or ``"all"``
+    (every 1- and 2-slot pattern, 105 per (10, 4) code).  Each round
+    reads every file ``reads`` times; the degraded-read percentiles
+    need the samples.
     """
 
     unit: int
@@ -52,7 +57,7 @@ class DataSpec:
     full_stripes: int
     patterns: str
     min_bytes: int = 0
-    pareto_alpha: float = 1.1
+    reads: int = 2
 
 
 class ArraySink:
@@ -84,6 +89,7 @@ class FileCase:
     layouts: list
     widths: List[int]
     patterns: Dict[str, List[Tuple[int, ...]]]
+    per_round: Dict[str, int]
     sink: ArraySink
 
 
@@ -101,7 +107,7 @@ def _file_sizes(spec: DataSpec, rng: np.random.Generator, k: int) -> List[int]:
             spec.full_stripes * stripe + 1 + int(q * (stripe - 1))
             for q in strata
         ]
-    lo, hi, a = spec.min_bytes, spec.full_stripes * stripe, spec.pareto_alpha
+    lo, hi, a = spec.min_bytes, spec.full_stripes * stripe, PARETO_ALPHA
     tail = 1.0 - (lo / hi) ** a
     return [int(lo * (1.0 - q * tail) ** (-1.0 / a)) for q in strata]
 
@@ -207,6 +213,8 @@ def build_pool(spec: DataSpec, codes: list, rng) -> List[FileCase]:
                 layouts=result.layouts,
                 widths=widths,
                 patterns=patterns,
+                per_round={"encode": 1, "repair": 2, "stream_repair": 2,
+                           "degraded_read": spec.reads},
                 sink=ArraySink(max(size, max(s.size for s in shards.values()))),
             )
         )
@@ -343,13 +351,13 @@ def run_round(
 ) -> RoundResult:
     """One pass over the pool.
 
-    Each file is encoded once and then, with patterns ``2r`` and
-    ``2r + 1`` of its lists, repaired whole-file twice, repaired
-    streamed twice and read degraded twice.  Outputs and repair byte
+    Each file is encoded once and then, with the next patterns of its
+    lists, repaired whole-file twice, repaired streamed twice and read
+    degraded ``per_round["degraded_read"]`` times.  Outputs and repair byte
     counts are checked after the clock stops; a mismatch or an
-    exception counts the op as failed.  ``op_hook(kind, case)``
-    returns a context manager entered around each timed call (the
-    traced run's op span); ``None`` times the bare call.
+    exception counts the op as failed.  ``op_hook(kind, case)``, if
+    given, returns a context manager entered around each timed call
+    (the traced run's op span).
     """
     seconds = dict.fromkeys(OPS, 0.0)
     nbytes = dict.fromkeys(OPS, 0)
@@ -359,21 +367,17 @@ def run_round(
     for case in pool:
         for kind in OPS:
             patterns = case.patterns.get(kind, [()])
-            for j in range(1 if kind == "encode" else 2):
-                pattern = patterns[(2 * round_index + j) % len(patterns)]
+            count = case.per_round[kind]
+            for j in range(count):
+                pattern = patterns[(count * round_index + j) % len(patterns)]
                 call, verify = _op(kind, case, pattern, accounting)
                 case.sink.pos = 0
                 attempted += 1
                 try:
-                    if op_hook is None:
+                    with op_hook(kind, case) if op_hook else nullcontext():
                         start = clock()
                         out = call()
                         elapsed = clock() - start
-                    else:
-                        with op_hook(kind, case):
-                            start = clock()
-                            out = call()
-                            elapsed = clock() - start
                     done, ok, read, built = verify(out)
                 except Exception as exc:  # counted as a failed op
                     failed += 1
@@ -418,14 +422,14 @@ def percentile(samples: List[float], q: float) -> float:
 def summarize(rounds: List[RoundResult], accounting_rounds: int) -> dict:
     """End-to-end data metrics of one run.
 
-    Co-tenant load on a shared host slows whole stretches of a run by
-    10-20%, and a median over the run follows it.  Every round does the
-    same kinds of work, so a rate is the 90th percentile of the rounds'
-    rates (the fastest tenth), and the latency percentiles are over the
-    reads of the rounds no slower than the median round.
-    ``repair_read_amplification`` sums the first ``accounting_rounds``
-    rounds only, whose patterns are fixed by the seed, so it repeats
-    exactly across runs of one seed whatever the machine's speed.
+    Every round does the same kinds of work, so a rate is the median of
+    the rounds' rates: co-tenant load on a shared host makes single ops
+    and rounds 10-30% slower at random, which moves a median over many
+    rounds far less than a best-of.  The latency percentiles are over
+    every degraded read of the run.  ``repair_read_amplification`` sums
+    the first ``accounting_rounds`` rounds only, whose patterns are
+    fixed by the seed, so it repeats exactly across runs of one seed
+    whatever the machine's speed.
     """
 
     def rate(kind):
@@ -434,16 +438,9 @@ def summarize(rounds: List[RoundResult], accounting_rounds: int) -> dict:
             for r in rounds
             if r.seconds[kind] > 0
         ]
-        return float(np.percentile(values, 90)) if values else math.nan
+        return float(np.median(values)) if values else math.nan
 
-    durations = [sum(r.seconds.values()) for r in rounds]
-    cut = float(np.median(durations))
-    latencies = [
-        x
-        for r, d in zip(rounds, durations)
-        if d <= cut
-        for x in r.read_latencies_ms
-    ]
+    latencies = [x for r in rounds for x in r.read_latencies_ms]
     head = rounds[:accounting_rounds]
     read = sum(r.bytes_read for r in head)
     built = sum(r.rebuilt for r in head)

@@ -13,8 +13,8 @@ half of the run; the two workloads stress different layers of both:
   stripes plus a ragged tail, with few erasure patterns so plan and
   packed-table caches hit; GF kernels and CRC32C do most of the work.
   Simulator: the paper-calibrated 100 racks x 30 nodes, RS(10,4),
-  hashed destination draws, eager recovery, 60 stripes per node, 40
-  days (the config of ``BENCH_simulator.json``); timeline resolution,
+  hashed destination draws, eager recovery, 60 stripes per node (the
+  config of ``BENCH_simulator.json``) over 20 days; timeline resolution,
   batched recovery, destination draws and ``charge_batch`` metering do
   the work.
 - ``small-files-throttled-sim``.  Data: the long tail of the
@@ -23,17 +23,20 @@ half of the run; the two workloads stress different layers of both:
   pattern (105 per code, more than the caches hold); per-stripe Python,
   plan builds and cache misses dominate, with enough degraded reads for
   a p99.  Simulator: the same cluster on Piggybacked-RS under the full
-  repair-policy stack (capped bandwidth with a standing backlog,
-  priority queue, lazy repair, per-TOR link model, hot spares, d3
-  placement with parallel waves), 5 stripes per node, 20 days; the
-  scheduler DES and stateful placement run at the coordinator.
+  repair-policy stack (capped recovery bandwidth, priority queue, lazy
+  repair, per-TOR link model, hot spares, d3 placement with parallel
+  waves), 5 stripes per node, 20 days, with the recovery pipe of the
+  repair-policy bench config narrowed in proportion to the sparser
+  stripes so it carries the same load; the scheduler DES and stateful
+  placement run at the coordinator.
 
-Shared hosts drift by 10-20% in speed over minutes, which moves every
-timing of a run together, so the timings use estimators that follow the
-program rather than the host: a data rate is the fastest tenth of the
-run's rounds and a simulator trace's time is its fastest replay.  The
-simulator timings replay fixed failure traces, while the seed draws
-the trace the cross-rack accounting comes from (``simplane.py``).
+On a shared host single ops run 10-30% slower at random, so every
+timing is a median over many repetitions of the same work: a data rate
+is the median of the run's rounds and a simulator trace's time is its
+median replay.  The simulator timings replay fixed failure traces,
+while the seed draws the traces the cross-rack accounting comes from
+(``simplane.py``).  Before any clock starts the process pins itself to
+one CPU and settles the allocator (``pin_cpu``, ``settle_allocator``).
 What the benchmark deliberately leaves out, and why, is in
 ``not_measured.json``.
 
@@ -91,7 +94,7 @@ DATA_SHARE = 0.5
 #: Data set-ups per run; setup_s is their median.
 SETUP_REPEATS = 5
 MIN_ROUNDS = 3
-#: Replays of every simulator trace at least; a trace's time is its fastest.
+#: Replays of every simulator trace at least; a trace's time is its median.
 REPLAYS = 2
 #: Rounds whose repairs make up repair_read_amplification.
 ACCOUNTING_ROUNDS = 2
@@ -114,6 +117,19 @@ def _prepare_environment(root: Path) -> None:
     # for the compiled one and fail loudly rather than fall back.
     os.environ["REPRO_GF_BACKEND"] = "cffi"
     sys.path.insert(0, str(root / "src"))
+
+
+def pin_cpu() -> int:
+    """Keep the process, and the threads it starts, on one CPU.
+
+    Unpinned, the scheduler moves the process between cores mid-run,
+    and on a small shared host each move costs it its caches: whole runs
+    came out 10-25% slower at random.  The highest-numbered allowed CPU
+    is taken, away from CPU 0, which serves most interrupts.
+    """
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 def preflight(root: Path) -> dict:
@@ -150,12 +166,12 @@ def workloads(smoke: bool) -> dict:
     from simplane import SimSpec
 
     bulk = DataSpec(unit=1 << 20, files=4, sizes="bulk", full_stripes=2,
-                    patterns="cached")
+                    patterns="cached", reads=4)
     small = DataSpec(unit=64 << 10, files=96, sizes="heavy", full_stripes=4,
-                     patterns="all", min_bytes=32 << 10, pareto_alpha=0.6)
-    warehouse = SimSpec(100, 30, 60.0, 40.0, "rs", throttled=False, traces=1)
+                     patterns="all", min_bytes=32 << 10)
+    warehouse = SimSpec(100, 30, 60.0, 20.0, "rs", throttled=False, traces=1)
     throttled = SimSpec(100, 30, 5.0, 20.0, "piggyback", throttled=True,
-                        traces=4)
+                        traces=2)
     if smoke:
         bulk = replace(bulk, unit=64 << 10, files=2)
         small = replace(small, unit=16 << 10, files=8, min_bytes=8 << 10)
@@ -185,6 +201,25 @@ def setup_pool(spec, seed: int):
     return pool, float(np.median(times))
 
 
+def settle_allocator() -> None:
+    """Put glibc malloc in the state a long-running process reaches.
+
+    glibc serves a large request from fresh pages when it is above its
+    mmap threshold, and returns free memory at the top of the heap to
+    the system above twice that threshold.  It raises the threshold to
+    the size of each large block freed, up to 32 MiB, so how many of the
+    library's per-op buffers fault in fresh pages depended on which
+    sizes the seed's set-up happened to free: bulk repairs took 4.6k or
+    9.8k page faults a round, and ran up to 30% slower, by seed alone.
+    Freeing one block just under 32 MiB raises the threshold to its
+    ceiling before any clock starts, whatever the seed.
+    """
+    import numpy as np
+
+    block = np.empty((32 << 20) - (8 << 10), dtype=np.uint8)
+    del block
+
+
 def measure(pool, data_setup_s, sim_spec, seed, seconds, hook=None):
     """Timed rounds of both parts; returns (metrics, attempted, failed, info)."""
     import numpy as np
@@ -192,32 +227,38 @@ def measure(pool, data_setup_s, sim_spec, seed, seconds, hook=None):
     import dataplane
     import simplane
 
+    clock = time.perf_counter
     accounting = dataplane.Accounting()
-    start = time.perf_counter()
-    data_end = start + seconds * DATA_SHARE
-    data_rounds = []
-    while len(data_rounds) < MIN_ROUNDS or time.perf_counter() < data_end:
-        data_rounds.append(
-            dataplane.run_round(pool, len(data_rounds), accounting, hook)
-        )
-    account = simplane.run_round(
-        simplane.accounting_config(sim_spec, seed), -1, sim_spec.shards, hook
-    )
+    # Accounting traces get negative trace ids, apart from the timing ones.
+    accounts = [
+        simplane.run_round(config, -1 - i, hook)
+        for i, config in enumerate(simplane.accounting_configs(sim_spec, seed))
+    ]
     configs = simplane.timing_configs(sim_spec)
-    sim_end = start + seconds
-    sim_rounds = []
+    # The two parts alternate, each taking the next turn while it is
+    # behind its share, so both sample the host over the whole run.
+    data_rounds, sim_rounds = [], []
+    spent = [0.0, 0.0]
+    end = clock() + seconds
     while (
-        len(sim_rounds) < REPLAYS * len(configs)
-        or time.perf_counter() < sim_end
+        clock() < end
+        or len(data_rounds) < MIN_ROUNDS
+        or len(sim_rounds) < REPLAYS * len(configs)
     ):
-        trace = len(sim_rounds) % len(configs)
-        sim_rounds.append(
-            simplane.run_round(configs[trace], trace, sim_spec.shards, hook)
-        )
+        start = clock()
+        if spent[0] * (1 - DATA_SHARE) <= spent[1] * DATA_SHARE:
+            data_rounds.append(
+                dataplane.run_round(pool, len(data_rounds), accounting, hook)
+            )
+            spent[0] += clock() - start
+        else:
+            trace = len(sim_rounds) % len(configs)
+            sim_rounds.append(simplane.run_round(configs[trace], trace, hook))
+            spent[1] += clock() - start
     metrics = dataplane.summarize(data_rounds, ACCOUNTING_ROUNDS)
     metrics.update(simplane.summarize(sim_rounds, sim_spec.days))
-    metrics["sim_xrack_MB_per_block"] = simplane.xrack_MB_per_block(account)
-    sim_rounds.append(account)
+    metrics["sim_xrack_MB_per_block"] = simplane.xrack_MB_per_block(accounts)
+    sim_rounds += accounts
     metrics["setup_s"] = data_setup_s + float(
         np.median([r.setup_s for r in sim_rounds])
     )
@@ -247,6 +288,7 @@ def main(argv=None) -> int:
     root = Path.cwd()
     _prepare_environment(root)
     meta = preflight(root)
+    meta["pinned_cpu"] = pin_cpu()
     table = workloads(args.smoke)
     if args.workload not in table:
         parser.error(f"unknown workload {args.workload!r}; one of {sorted(table)}")
@@ -254,6 +296,7 @@ def main(argv=None) -> int:
     meta.update(workload=args.workload, seed=args.seed, trace=args.trace)
 
     pool, data_setup_s = setup_pool(data_spec, args.seed)
+    settle_allocator()
     if not args.trace:
         metrics, attempted, failed, info = measure(
             pool, data_setup_s, sim_spec, args.seed, args.seconds

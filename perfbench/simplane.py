@@ -8,19 +8,22 @@ cross-rack accounting must close: the per-day series plus the bytes
 charged past the horizon equal the meter's total.
 
 The days/s figures replay ``traces`` fixed failure traces round-robin
-and take each trace's fastest replay: how much recovery work a trace
+and take each trace's median replay: how much recovery work a trace
 holds varies by 10-20% between traces of a few weeks, more than any
 useful bound, so timing a fresh trace per seed would measure the seed.
 A trace replayed in a later round must give the same result as its
 first replay.  The accounting figure, cross-rack MB per recovered
-block, comes from one more trace drawn from the benchmark seed.
+block, comes from ``ACCOUNTING_TRACES`` more traces drawn from the
+benchmark seed.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -42,11 +45,23 @@ class SimSpec:
     code: str
     throttled: bool
     traces: int
-    shards: int = 4
 
 
 #: Config seed of the first fixed timing trace (the paper's arXiv date).
 TIMING_SEED = 20130901
+#: Shards of the sharded engine (all in-process).
+SHARDS = 4
+#: Seed-drawn traces pooled into the cross-rack accounting figure; one
+#: trace of the throttled cluster recovers a few hundred blocks, and
+#: its MB per block moves by about 5% from seed to seed.
+ACCOUNTING_TRACES = 2
+#: The repair-policy bench config's recovery pipe (``bench.py``) and the
+#: stripe density it was sized for.  A sparser cluster gets a pipe
+#: narrowed in proportion, which keeps the same load on it: the share
+#: of the horizon the pipe is busy and the mean wait of a ready job for
+#: it match the bench config's.
+BENCH_PIPE_BYTES_PER_SEC = 400e6
+BENCH_STRIPES_PER_NODE = 60.0
 
 
 def make_config(spec: SimSpec, config_seed: int) -> ClusterConfig:
@@ -62,7 +77,8 @@ def make_config(spec: SimSpec, config_seed: int) -> ClusterConfig:
     if spec.throttled:
         config = replace(
             config,
-            recovery_bandwidth_bytes_per_sec=400e6,
+            recovery_bandwidth_bytes_per_sec=BENCH_PIPE_BYTES_PER_SEC
+            * spec.stripes_per_node / BENCH_STRIPES_PER_NODE,
             repair_queue_discipline="priority",
             lazy_repair=True,
             lazy_repair_delay_seconds=7200.0,
@@ -116,10 +132,10 @@ def accounting_closes(result) -> bool:
     )
 
 
-def build_engines(config: ClusterConfig, shards: int):
+def build_engines(config: ClusterConfig):
     return (
         WarehouseSimulation(config),
-        ShardedSimulation(config, num_shards=shards, workers=0),
+        ShardedSimulation(config, num_shards=SHARDS, workers=0),
     )
 
 
@@ -136,27 +152,26 @@ class SimRound:
     failed: int
 
 
-def run_round(
-    config: ClusterConfig, trace: int, shards: int, op_hook=None
-) -> SimRound:
-    """Construct both engines (timed as set-up), then time each run."""
+def run_round(config: ClusterConfig, trace: int, op_hook=None) -> SimRound:
+    """Construct both engines (timed as set-up), then time each run.
+
+    The garbage of earlier rounds is collected before each clock starts,
+    so a run pays only for its own.
+    """
     clock = time.perf_counter
+    gc.collect()
     start = clock()
-    engines = build_engines(config, shards)
+    engines = build_engines(config)
     setup_s = clock() - start
     results, seconds = [], []
     failed = 0
     for name, engine in zip(("serial", "sharded"), engines):
+        gc.collect()
         try:
-            if op_hook is None:
+            with op_hook(name, None) if op_hook else nullcontext():
                 start = clock()
                 result = engine.run()
                 seconds.append(clock() - start)
-            else:
-                with op_hook(name, None):
-                    start = clock()
-                    result = engine.run()
-                    seconds.append(clock() - start)
         except Exception as exc:  # counted as a failed op
             print(f"{name} run failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
@@ -195,21 +210,23 @@ def timing_configs(spec: SimSpec) -> List[ClusterConfig]:
     return [make_config(spec, TIMING_SEED + k) for k in range(spec.traces)]
 
 
-def accounting_config(spec: SimSpec, seed: int) -> ClusterConfig:
-    return make_config(
-        spec, int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
-    )
+def accounting_configs(spec: SimSpec, seed: int) -> List[ClusterConfig]:
+    seeds = np.random.SeedSequence([seed, 2]).generate_state(ACCOUNTING_TRACES)
+    return [make_config(spec, int(s)) for s in seeds]
 
 
-def xrack_MB_per_block(r: SimRound) -> float:
-    return r.xrack_bytes / r.blocks / 1e6 if r.blocks else math.nan
+def xrack_MB_per_block(rounds: List[SimRound]) -> float:
+    blocks = sum(r.blocks for r in rounds)
+    if not blocks:
+        return math.nan
+    return sum(r.xrack_bytes for r in rounds) / blocks / 1e6
 
 
 def summarize(rounds: List[SimRound], days: float) -> dict:
-    """Days/s over the timing traces, each at its fastest replay.
+    """Days/s over the timing traces, each at its median replay.
 
-    Co-tenant load on a shared host slows whole stretches of a run, and
-    a replay repeats exactly the same work.
+    A replay repeats exactly the same work, so its time varies only with
+    the host; a median over the replays follows the program.
     """
     by_trace = {}
     for r in rounds:
@@ -217,7 +234,7 @@ def summarize(rounds: List[SimRound], days: float) -> dict:
 
     def days_per_s(field):
         times = [
-            np.nanmin([getattr(r, field) for r in group])
+            np.nanmedian([getattr(r, field) for r in group])
             for group in by_trace.values()
         ]
         return days * len(times) / float(np.sum(times))

@@ -10,9 +10,9 @@ with ``--split`` set B runs the next ``--runs`` seeds instead of set
 A's, so the two sets together cover ``2 * --runs`` seeds.
 It prints, per workload and end-to-end metric, each set's median and
 quartiles, the spread (quartile distance over median) of each set and
-the shift between the two medians, and names every metric whose spread
-(``setup_s`` excepted) or worsening shift breaks its bound from
-``BENCHMARK.json``, and the spread over both sets together.  Without
+the shift between the two medians and the spread over both sets
+together, and names every metric whose spread or worsening shift
+breaks its bound from ``BENCHMARK.json``.  Without
 ``--split`` the accounting metrics must repeat exactly for a seed; any
 difference is named as drift.  Exits 1 when anything is named.
 """
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
             shift = (mb - ma) / ma if ma else 0.0
             worse = shift if metric["better"] == "lower" else -shift
             flags = []
-            if name != "setup_s" and max(sa, sb, both) > bound:
+            if max(sa, sb, both) > bound:
                 flags.append("SPREAD")
             if worse > bound:
                 flags.append("SHIFT")
