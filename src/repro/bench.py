@@ -114,52 +114,66 @@ def _crs_decode(unit_size: int) -> Callable[[], object]:
     return lambda: code.decode(survivors)
 
 
-def _rs_file_repair(unit_size: int) -> Callable[[], object]:
-    """Compiled whole-file repair: bind once, replay per run.
+def _file_repair(make_code: Callable[[], object], failed_slot: int):
+    """Builder of a compiled whole-file repair of ``failed_slot``.
 
-    The steady-state shape the repair data plane runs in production:
-    executors are bound to the survivor buffers at compile time, so the
-    timed region is the fused native waves themselves.  The bytes
-    factor is the *rebuilt* bytes -- the recovery-rate quantity -- not
-    the 10x larger download.
+    Bind once, replay per run: the steady-state shape the repair data
+    plane runs in production, where executors are bound to the
+    survivor buffers at compile time, so the timed region is the fused
+    native waves themselves.  The bytes factor is the *rebuilt* bytes
+    -- the recovery-rate quantity -- not the larger download; each run
+    returns its stats, so the row also reports downloaded units per
+    rebuilt unit (RS 10, Piggybacked-RS 7 for a data slot, 10 for a
+    parity slot).
     """
-    from repro.codes.rs import ReedSolomonCode
-    from repro.striping.pipeline import CompiledFileRepair, _ShardGeometry
 
-    code = ReedSolomonCode(10, 4)
-    # Keep the survivor working set small enough to stay cache-resident
-    # on modest hosts: 4 stripes of unit_size-wide units.
-    stripes = 4
-    file_size = code.k * unit_size * stripes
-    rng = np.random.default_rng(2013)
-    geometry = _ShardGeometry(code, "bench", file_size, unit_size)
-    shards = {}
-    data = rng.integers(
-        0, 256, (stripes, code.k, unit_size), dtype=np.uint8
-    )
-    parities = np.stack(
-        [code.encode(data[t])[code.k :] for t in range(stripes)]
-    )
-    for slot in range(code.n):
-        if slot == 0:
-            continue
-        if slot < code.k:
-            shards[slot] = np.ascontiguousarray(data[:, slot, :]).reshape(-1)
-        else:
-            shards[slot] = np.ascontiguousarray(
-                parities[:, slot - code.k, :]
-            ).reshape(-1)
-    compiled = CompiledFileRepair(
-        code, shards, 0, unit_size, file_size, name="bench"
-    )
-    assert compiled.out_size == geometry.shard_size(0)
-    return compiled.run
+    def build(unit_size: int) -> Callable[[], object]:
+        from repro.striping.pipeline import CompiledFileRepair
+
+        code = make_code()
+        # Keep the survivor working set small enough to stay
+        # cache-resident on modest hosts: 4 stripes of unit_size units.
+        stripes = 4
+        rng = np.random.default_rng(2013)
+        data = rng.integers(
+            0, 256, (stripes, code.k, unit_size), dtype=np.uint8
+        )
+        stripe_units = np.stack([code.encode(data[t]) for t in range(stripes)])
+        shards = {
+            slot: np.ascontiguousarray(stripe_units[:, slot, :]).reshape(-1)
+            for slot in range(code.n)
+            if slot != failed_slot
+        }
+        compiled = CompiledFileRepair(
+            code, shards, failed_slot, unit_size,
+            code.k * unit_size * stripes, name="bench",
+        )
+        return compiled.run
+
+    return build
+
+
+def _rs() -> object:
+    from repro.codes.rs import ReedSolomonCode
+
+    return ReedSolomonCode(10, 4)
+
+
+def _piggyback() -> object:
+    from repro.codes.piggyback import PiggybackedRSCode
+
+    return PiggybackedRSCode(10, 4)
 
 
 #: name -> (builder(unit_size) -> thunk, bytes processed per run factor)
 WORKLOADS = {
     "RS(10,4).file_encode": (_rs_file_encode, 10 * 4),
-    "RS(10,4).file_repair": (_rs_file_repair, 4),
+    "RS(10,4).file_repair": (_file_repair(_rs, 0), 4),
+    "PiggybackedRS(10,4).file_repair.data": (_file_repair(_piggyback, 0), 4),
+    "PiggybackedRS(10,4).file_repair.parity": (
+        _file_repair(_piggyback, 10),
+        4,
+    ),
     "CRS(10,4).encode": (_crs_encode, 10),
     "CRS(10,4).decode": (_crs_decode, 10),
 }
@@ -172,8 +186,9 @@ def run_backend_comparison(
 ) -> List[Dict[str, object]]:
     """Time every workload under every available backend.
 
-    Returns one row per (workload, backend) with throughput and the
-    ratio against the numpy oracle for the same workload.  Unavailable
+    Returns one row per (workload, backend) with throughput, the ratio
+    against the numpy oracle for the same workload and, for repairs,
+    the downloaded units per rebuilt unit.  Unavailable
     backends are reported with the probe's failure reason instead of
     numbers, so the table documents *why* a tier is missing rather
     than silently shrinking.
@@ -206,6 +221,7 @@ def run_backend_comparison(
                         "median_ms": None,
                         "vs_numpy": None,
                         "rounds": 0,
+                        "units_per_rebuilt": None,
                         "note": status,
                     }
                 )
@@ -213,7 +229,8 @@ def run_backend_comparison(
         with backends.use_backend(backend_name):
             for workload, (builder, bytes_factor) in WORKLOADS.items():
                 fn = builder(unit_size)
-                fn()  # warm caches, schedules and JIT outside the clock
+                # Warm caches, schedules and JIT outside the clock.
+                repair = fn()
                 stats = time_workload(fn, rounds)
                 nbytes = bytes_factor * unit_size
                 mb_per_s = nbytes / stats["median_s"] / 1e6
@@ -230,6 +247,11 @@ def run_backend_comparison(
                             round(mb_per_s / base, 2) if base else None
                         ),
                         "rounds": stats["rounds"],
+                        "units_per_rebuilt": (
+                            repair.bytes_read / repair.rebuilt_bytes
+                            if hasattr(repair, "rebuilt_bytes")
+                            else None
+                        ),
                         "note": "",
                     }
                 )

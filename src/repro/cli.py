@@ -694,6 +694,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 if row["vs_numpy"] is not None
                 else "-"
             ),
+            "units/rebuilt": (
+                f"{row['units_per_rebuilt']:g}"
+                if row["units_per_rebuilt"] is not None
+                else "-"
+            ),
             "note": row["note"],
         }
         for row in rows

@@ -29,6 +29,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.errors import DecodingError, EncodingError, RepairError
+from repro.gf import backends
+from repro.gf.packed import PackedMatmul, PackedRow, _batch_contiguous
 from repro.observability import metrics
 
 #: Per-code cap on memoised decode matrices / repair plans.  Real failure
@@ -173,6 +175,11 @@ class ErasureCode(abc.ABC):
     r: int
     #: How many byte-level substripes each unit is divided into.
     substripes_per_unit: int = 1
+    #: Whether ``decode`` / ``repair`` are bytewise GF(2^8)-linear: each
+    #: byte of each output subunit is one fixed combination of the same
+    #: byte of the input subunits.  Such codes (which define ``field``)
+    #: get compiled batch decode and repair (see :meth:`_linear_map`).
+    bytewise_linear: bool = False
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -524,14 +531,13 @@ class ErasureCode(abc.ABC):
     # ------------------------------------------------------------------
     #
     # The batched data plane stacks ``s`` same-width stripes and runs the
-    # fused kernels once per batch instead of once per stripe.  The
-    # defaults below are deliberately plain per-stripe loops over the
-    # scalar methods: they define the semantics, and the hypothesis
-    # equivalence suite pins every fused override to them byte-for-byte.
-    # Subclasses override ``parity_batch`` / ``decode_batch`` /
-    # ``execute_repair_batch`` with packed-table kernels; the scalar
-    # ``encode`` / ``decode`` / ``execute_repair`` paths stay untouched
-    # as the oracles.
+    # fused kernels once per batch instead of once per stripe.  For
+    # bytewise-linear codes every repair and decode pattern compiles to
+    # one GF(2^8) matrix, read off the scalar oracle in a single call
+    # and applied by the backend's batched matmul; other codes loop the
+    # scalar methods.  The scalar ``encode`` / ``decode`` /
+    # ``execute_repair`` stay the oracles the equivalence suites pin
+    # every batch path to, byte for byte.
 
     def validate_batch_data(self, data: np.ndarray) -> np.ndarray:
         """Check shape/dtype of a ``(s, k, w)`` stripe batch."""
@@ -639,18 +645,51 @@ class ErasureCode(abc.ABC):
     def decode_batch(
         self,
         available_units: Mapping[int, "np.ndarray | Sequence[np.ndarray]"],
+        slots: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Recover data units for a stripe batch: values ``(s, w)`` -> ``(s, k, w)``.
 
         Every stripe in the batch must share the same survivor set.
-        Default: per-stripe scalar decode.
+        ``slots`` restricts the output to those data slots, in the given
+        order (``(s, len(slots), w)``); the degraded-read pipeline asks
+        for the erased ones only and reads the survivors in place.
+        Linear codes run one compiled kernel that writes only the
+        erased rows (surviving rows are copied); the default is a
+        per-stripe scalar decode.
         """
         stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        out = np.empty((stripes, self.k, width), dtype=np.uint8)
-        for t in range(stripes):
-            out[t] = self.decode(
-                {node: rows[t] for node, rows in rows_by_node.items()}
+        slots = list(range(self.k) if slots is None else map(int, slots))
+        out = np.empty((stripes, len(slots), width), dtype=np.uint8)
+        if not self.bytewise_linear:
+            for t in range(stripes):
+                out[t] = self.decode(
+                    {node: rows[t] for node, rows in rows_by_node.items()}
+                )[slots]
+            return out
+        lost = [i for i, slot in enumerate(slots) if slot not in rows_by_node]
+        for i, slot in enumerate(slots):
+            if slot in rows_by_node:
+                for t, row in enumerate(rows_by_node[slot]):
+                    out[t, i] = row
+        if lost:
+            survivors = tuple(sorted(rows_by_node))
+            lost_slots = [slots[i] for i in lost]
+            terms = [
+                (node, sub)
+                for node in survivors
+                for sub in range(self.substripes_per_unit)
+            ]
+            matrix = self._linear_map(
+                ("decode", survivors, tuple(lost_slots)),
+                terms,
+                lambda units: self.decode(units)[lost_slots],
             )
+            self._bind_linear(
+                matrix,
+                terms,
+                rows_by_node,
+                [[out[t, i] for i in lost] for t in range(stripes)],
+            )()
         return out
 
     def execute_repair_batch(
@@ -666,7 +705,9 @@ class ErasureCode(abc.ABC):
         every stripe shares the failure pattern, which is how the
         batched codec groups its work (98.08% of degraded stripes miss
         exactly one unit, Section 2.2, so the same pattern recurs
-        across thousands of stripes).
+        across thousands of stripes).  Linear codes run the compiled
+        kernel of :meth:`bind_repair_batch`; the default loops the
+        scalar :meth:`execute_repair`.
 
         Returns
         -------
@@ -677,6 +718,9 @@ class ErasureCode(abc.ABC):
         if plan is None:
             plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
         out = np.empty((stripes, width), dtype=np.uint8)
+        if self.bytewise_linear:
+            self.bind_repair_batch(failed_node, rows_by_node, out, plan)()
+            return out, stripes * plan.bytes_downloaded(width)
         bytes_downloaded = 0
         for t in range(stripes):
             rebuilt, transferred = self.execute_repair(
@@ -702,9 +746,11 @@ class ErasureCode(abc.ABC):
         caller that refills the same buffers every wave -- the streaming
         reconstruction pipeline, the repair benches -- pays plan lookup,
         row validation and kernel marshalling once instead of per wave.
-        The default closes over :meth:`execute_repair_batch` (the numpy
-        oracle path when no native backend serves); fused codes override
-        it to return the backend's bound batched matmul.
+        For linear codes every plan -- RS, either Piggybacked-RS path,
+        a parity slot -- is one ``(substripes, terms)`` matrix over
+        exactly the plan's :class:`SymbolRequest` subunits, applied by
+        the backend's fused batched matmul; other codes close over
+        :meth:`execute_repair_batch`.
         """
         failed_node = self.validate_node_index(failed_node)
         stripes, width, rows_by_node = self.batch_unit_rows(available_units)
@@ -715,44 +761,107 @@ class ErasureCode(abc.ABC):
             )
         if plan is None:
             plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
-
-        def execute() -> None:
-            rebuilt, _ = self.execute_repair_batch(
-                failed_node, rows_by_node, plan=plan
-            )
-            out[:] = rebuilt
-
-        return execute
-
-    def _bound_repair_kernel_inputs(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | Sequence[np.ndarray]"],
-        out: np.ndarray,
-        plan: Optional[RepairPlan],
-    ):
-        """Shared validation for the fused ``bind_repair_batch`` overrides.
-
-        Returns ``(plan, sources, stripes, width, rows_by_node)`` after
-        checking that every plan source is available and that ``out``
-        matches the batch shape.
-        """
-        failed_node = self.validate_node_index(failed_node)
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        if out.shape != (stripes, width) or out.dtype != np.uint8:
-            raise RepairError(
-                f"bound repair output must be uint8 {(stripes, width)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        if plan is None:
-            plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
-        sources = list(plan.nodes_contacted)
-        for node in sources:
+        for node in plan.nodes_contacted:
             if node not in rows_by_node:
                 raise RepairError(
                     f"plan reads node {node} which is unavailable"
                 )
-        return plan, sources, stripes, width, rows_by_node
+        if not self.bytewise_linear:
+
+            def execute() -> None:
+                rebuilt, _ = self.execute_repair_batch(
+                    failed_node, rows_by_node, plan=plan
+                )
+                out[:] = rebuilt
+
+            return execute
+        terms = [
+            (request.node, sub)
+            for request in plan.requests
+            for sub in request.substripes
+        ]
+        matrix = self._linear_map(
+            ("repair", plan),
+            terms,
+            lambda units: self.execute_repair(failed_node, units, plan)[0],
+        )
+        return self._bind_linear(
+            matrix, terms, rows_by_node, [[row] for row in out]
+        )
+
+    def _linear_map(self, key, terms, oracle: Callable) -> np.ndarray:
+        """The GF(2^8) matrix of one bytewise-linear scalar operation.
+
+        ``terms`` orders the ``(node, substripe)`` inputs and
+        ``oracle(units)`` runs the scalar operation on full units,
+        returning its ``(outputs, unit_size)`` (or ``(unit_size,)``)
+        result.  One call reads the whole matrix off: with subunits
+        ``len(terms)`` bytes wide, term ``i`` is zero except for a 1 at
+        byte ``i``, so byte ``i`` of every output subunit is that
+        subunit's coefficient on term ``i``.  Rows come out ordered
+        (output, substripe).  Memoised beside the decode matrices (the
+        key names the operation).
+        """
+
+        def build() -> np.ndarray:
+            count = len(terms)
+            units = {
+                node: np.zeros(self.substripes_per_unit * count, np.uint8)
+                for node, _ in terms
+            }
+            for i, (node, sub) in enumerate(terms):
+                units[node][sub * count + i] = 1
+            return np.asarray(oracle(units)).reshape(-1, count)
+
+        return self.memoized_decode_matrix(key, build)
+
+    def _bind_linear(self, matrix, terms, rows_by_node, outs):
+        """Executor for ``outs[t] <- matrix @ terms`` across a batch.
+
+        ``outs[t]`` lists stripe ``t``'s output units, each split into
+        substripes to match the matrix's (output, substripe) rows.
+        Terms whose column is all zero are never read.
+        """
+        used = np.flatnonzero(matrix.any(axis=0))
+        matrix = np.ascontiguousarray(matrix[:, used])
+        terms = [terms[i] for i in used]
+        parts = self.substripes_per_unit
+        size, ragged = divmod(outs[0][0].shape[0], parts)
+        if ragged:
+            raise EncodingError(
+                f"unit size {outs[0][0].shape[0]} not divisible by "
+                f"{parts} substripes"
+            )
+
+        def piece(row, s):
+            return row[s * size : (s + 1) * size]
+
+        batch_in = [
+            [piece(rows_by_node[node][t], s) for node, s in terms]
+            for t in range(len(outs))
+        ]
+        batch_out = [
+            [piece(unit, s) for unit in units for s in range(parts)]
+            for units in outs
+        ]
+        backend = backends.native_backend()
+        if backend is not None and _batch_contiguous(batch_in, batch_out):
+            return backend.bind_matmul_batch(
+                self.field, matrix, batch_in, batch_out
+            )
+        # No native kernel: the numpy packed tables (~1 MiB a matrix);
+        # a single row gets PackedRow's cheaper half-word layout.
+        if len(matrix) == 1:
+            batch_out = [rows[0] for rows in batch_out]
+        kernel = self._memoize(
+            "_linear_kernel_cache",
+            (matrix.shape, matrix.tobytes()),
+            lambda: (PackedRow if len(matrix) == 1 else PackedMatmul)(
+                matrix, self.field
+            ),
+            cap=PACKED_CACHE_CAP,
+        )
+        return kernel.bind_batch(batch_in, batch_out)
 
     def _apply_packed_parity(
         self,
@@ -787,48 +896,17 @@ class ErasureCode(abc.ABC):
             for t in range(stripes):
                 kernel.apply(list(data[t]), list(out[t]), accumulate=accumulate)
 
-    def _apply_packed_row_batch(
-        self,
-        kernel,
-        sources: Sequence[int],
-        rows_by_node: Mapping[int, Sequence[np.ndarray]],
-        out: np.ndarray,
-    ) -> None:
-        """Drive a :class:`~repro.gf.packed.PackedRow` across a batch.
-
-        ``out`` is the rebuilt ``(s, w)`` batch; ``sources`` orders the
-        survivor nodes the kernel's coefficients were built over.
-        Narrow batches pool each survivor's rows into one ``s*w`` run so
-        the kernel amortises its vector tail (same idiom as
-        :meth:`_apply_packed_parity`); wide batches issue one fused
-        :meth:`~repro.gf.packed.PackedRow.apply_batch` over zero-copy
-        per-stripe views -- a single FFI crossing on native backends.
-        """
-        stripes, width = out.shape
-        if width < POOL_WIDTH and stripes > 1:
-            pooled = [
-                np.concatenate(list(rows_by_node[node])) for node in sources
-            ]
-            kernel.apply(pooled, out.reshape(-1))
-        else:
-            kernel.apply_batch(
-                [
-                    [rows_by_node[node][t] for node in sources]
-                    for t in range(stripes)
-                ],
-                list(out),
-            )
-
     @property
     def has_fused_batch(self) -> bool:
-        """Whether any batched operation is overridden with a fused kernel.
+        """Whether any batched operation runs a fused or compiled kernel.
 
         The bench smoke steps assert this so CI fails if the batched
         data plane is accidentally disabled (e.g. an override removed).
         """
         base = ErasureCode
         return (
-            type(self).parity_batch is not base.parity_batch
+            self.bytewise_linear
+            or type(self).parity_batch is not base.parity_batch
             or type(self).decode_batch is not base.decode_batch
             or type(self).execute_repair_batch is not base.execute_repair_batch
         )

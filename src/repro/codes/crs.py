@@ -287,6 +287,7 @@ class CauchyBitmatrixRSCode(ErasureCode):
     def decode_batch(
         self,
         available_units: Mapping[int, "np.ndarray | list"],
+        slots=None,
     ) -> np.ndarray:
         stripes, width, rows_by_node = self.batch_unit_rows(available_units)
         if width % W:
@@ -299,7 +300,11 @@ class CauchyBitmatrixRSCode(ErasureCode):
                 rows = rows_by_node[node]
                 for t in range(stripes):
                     out[t, node] = rows[t]
-            return out
+        else:
+            self._decode_strips(rows_by_node, stripes, width, out)
+        return out if slots is None else out[:, list(slots)]
+
+    def _decode_strips(self, rows_by_node, stripes, width, out) -> None:
         chosen = sorted(rows_by_node)[: self.k]
         if len(chosen) < self.k:
             raise DecodingError(
@@ -309,7 +314,6 @@ class CauchyBitmatrixRSCode(ErasureCode):
         pooled = self._pool_strips(rows_by_node, chosen, stripes, width)
         data_strips = schedule.apply(pooled)
         out[:] = self._unpool_strips(data_strips, self.k, stripes, width)
-        return out
 
     def execute_repair_batch(
         self,

@@ -36,7 +36,7 @@ from repro.codes.base import (
 from repro.errors import CodeConstructionError, DecodingError, RepairError
 from repro.gf import GF256, DEFAULT_FIELD, cauchy_matrix, gf_matmul
 from repro.gf.linalg import gf_inv_matrix, gf_rank
-from repro.gf.packed import PackedMatmul, PackedRow
+from repro.gf.packed import PackedMatmul
 
 
 class LRCCode(ErasureCode):
@@ -62,6 +62,7 @@ class LRCCode(ErasureCode):
     """
 
     substripes_per_unit = 1
+    bytewise_linear = True
 
     def __init__(
         self,
@@ -191,7 +192,8 @@ class LRCCode(ErasureCode):
         return self._independent_rows(survivors) is not None
 
     # ------------------------------------------------------------------
-    # Batched operations (fused packed-table kernels)
+    # Batched encode (fused packed-table kernels; decode and repair are
+    # compiled by the base class -- the code is bytewise linear)
     # ------------------------------------------------------------------
 
     def parity_batch(
@@ -209,117 +211,6 @@ class LRCCode(ErasureCode):
         )
         self._apply_packed_parity(kernel, data, out)
         return out
-
-    def decode_batch(
-        self,
-        available_units: Mapping[int, "np.ndarray | list"],
-    ) -> np.ndarray:
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        out = np.empty((stripes, self.k, width), dtype=np.uint8)
-        if all(node in rows_by_node for node in range(self.k)):
-            for node in range(self.k):
-                rows = rows_by_node[node]
-                for t in range(stripes):
-                    out[t, node] = rows[t]
-            return out
-        chosen = self._independent_rows(sorted(rows_by_node))
-        if chosen is None:
-            raise DecodingError(
-                f"{self.name}: surviving units {sorted(rows_by_node)} do "
-                f"not span the data (rank < k)"
-            )
-        inverse = self.memoized_decode_matrix(
-            tuple(chosen),
-            lambda: gf_inv_matrix(self.generator[chosen], self.field),
-        )
-        pooled = np.empty((self.k, stripes * width), dtype=np.uint8)
-        for i, node in enumerate(chosen):
-            segment = pooled[i].reshape(stripes, width)
-            rows = rows_by_node[node]
-            for t in range(stripes):
-                segment[t] = rows[t]
-        product = gf_matmul(inverse, pooled, self.field)
-        out[:] = np.moveaxis(product.reshape(self.k, stripes, width), 1, 0)
-        return out
-
-    def execute_repair_batch(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | list"],
-        plan: Optional[RepairPlan] = None,
-    ):
-        failed_node = self.validate_node_index(failed_node)
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        if plan is None:
-            plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
-        sources = list(plan.nodes_contacted)
-        for node in sources:
-            if node not in rows_by_node:
-                raise RepairError(
-                    f"plan reads node {node} which is unavailable"
-                )
-        out = np.empty((stripes, width), dtype=np.uint8)
-        # Local repairs compose to an all-ones XOR row; global-parity or
-        # blocked-local repairs to ``generator[failed] @ inverse`` over
-        # the plan's chosen rows -- either way a single fused row kernel
-        # over the whole batch (see :meth:`_repair_row_kernel`).
-        kernel = self._repair_row_kernel(failed_node, sources)
-        self._apply_packed_row_batch(kernel, sources, rows_by_node, out)
-        return out, stripes * plan.bytes_downloaded(width)
-
-    def bind_repair_batch(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | list"],
-        out: np.ndarray,
-        plan: Optional[RepairPlan] = None,
-    ):
-        failed_node = self.validate_node_index(failed_node)
-        _, sources, stripes, _, rows_by_node = self._bound_repair_kernel_inputs(
-            failed_node, available_units, out, plan
-        )
-        kernel = self._repair_row_kernel(failed_node, sources)
-        return kernel.bind_batch(
-            [
-                [rows_by_node[node][t] for node in sources]
-                for t in range(stripes)
-            ],
-            list(out),
-        )
-
-    def _repair_row_kernel(self, failed_node: int, sources: List[int]):
-        """The composed single-row repair kernel for one plan's sources."""
-        if failed_node < self.k + self.l:
-            __, local_sources = self._local_repair_sources(failed_node)
-            if set(sources) == set(local_sources):
-                return self._memoize(
-                    "_packed_row_cache",
-                    ("local-xor", len(local_sources)),
-                    lambda: PackedRow(
-                        np.ones(len(local_sources), dtype=np.uint8),
-                        self.field,
-                    ),
-                    cap=PACKED_CACHE_CAP,
-                )
-
-        def build() -> PackedRow:
-            inverse = self.memoized_decode_matrix(
-                tuple(sources),
-                lambda: gf_inv_matrix(self.generator[sources], self.field),
-            )
-            row = gf_matmul(
-                self.generator[failed_node : failed_node + 1],
-                inverse,
-                self.field,
-            )[0]
-            return PackedRow(row, self.field)
-
-        return self._memoize(
-            "_packed_row_cache",
-            (failed_node, tuple(sources)),
-            build,
-            cap=PACKED_CACHE_CAP,
-        )
 
     # ------------------------------------------------------------------
     # Repair

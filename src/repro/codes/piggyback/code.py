@@ -31,8 +31,8 @@ from repro.codes.piggyback.design import PiggybackDesign
 from repro.codes.piggyback import repair as planning
 from repro.codes.rs import ReedSolomonCode
 from repro.errors import CodeConstructionError, DecodingError, RepairError
-from repro.gf import GF256, DEFAULT_FIELD, gf_inv_matrix, gf_matmul
-from repro.gf.packed import PackedMatmul, PackedRow
+from repro.gf import GF256, DEFAULT_FIELD, gf_matmul
+from repro.gf.packed import PackedMatmul
 
 
 class PiggybackedRSCode(ErasureCode):
@@ -67,6 +67,7 @@ class PiggybackedRSCode(ErasureCode):
     """
 
     substripes_per_unit = 2
+    bytewise_linear = True
 
     def __init__(
         self,
@@ -148,7 +149,8 @@ class PiggybackedRSCode(ErasureCode):
         return np.hstack([a_data, b_data])
 
     # ------------------------------------------------------------------
-    # Batched operations (fused packed-table kernels)
+    # Batched encode (fused packed-table kernels; decode and repair are
+    # compiled by the base class -- the code is bytewise linear)
     # ------------------------------------------------------------------
 
     def parity_batch(
@@ -179,221 +181,6 @@ class PiggybackedRSCode(ErasureCode):
             pb_kernel, a, out[:, :, half:], accumulate=True
         )
         return out
-
-    def decode_batch(
-        self,
-        available_units: Mapping[int, "np.ndarray | list"],
-    ) -> np.ndarray:
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        if width % 2:
-            raise DecodingError(
-                f"unit size {width} not divisible by 2 substripes"
-            )
-        half = width // 2
-        if len(rows_by_node) < self.k:
-            raise DecodingError(
-                f"{self.name} needs {self.k} surviving units, "
-                f"got {len(rows_by_node)}"
-            )
-        # Substripe a first, exactly like the scalar decoder.
-        a_units = {
-            node: [row[:half] for row in rows]
-            for node, rows in rows_by_node.items()
-        }
-        a_data = self._rs.decode_batch(a_units)
-        pb_kernel = self._memoize(
-            "_packed_matmul_cache",
-            "piggyback",
-            lambda: PackedMatmul(self.design.matrix, self.field),
-            cap=PACKED_CACHE_CAP,
-        )
-        piggybacks = np.empty((stripes, self.r, half), dtype=np.uint8)
-        self._apply_packed_parity(pb_kernel, a_data, piggybacks)
-        b_units: Dict[int, "np.ndarray | list"] = {}
-        for node, rows in rows_by_node.items():
-            if node < self.k:
-                b_units[node] = [row[half:] for row in rows]
-            else:
-                stripped = np.empty((stripes, half), dtype=np.uint8)
-                for t in range(stripes):
-                    np.bitwise_xor(
-                        rows[t][half:],
-                        piggybacks[t, node - self.k],
-                        out=stripped[t],
-                    )
-                b_units[node] = stripped
-        b_data = self._rs.decode_batch(b_units)
-        out = np.empty((stripes, self.k, width), dtype=np.uint8)
-        out[:, :, :half] = a_data
-        out[:, :, half:] = b_data
-        return out
-
-    def _packed_piggyback_rows(self, failed_node: int):
-        """Composed single-row kernels for the fused piggyback repair.
-
-        The scalar path decodes substripe b, strips ``f_carrier(b)`` off
-        the piggybacked symbol, cancels the other group members, and
-        divides by the failed unit's own coefficient.  Every step is
-        GF-linear in the fetched subunits, so the whole repair composes
-        into two fixed linear combinations (one per rebuilt half) over
-        ``(source node, substripe)`` terms -- which only depend on the
-        design and the failed node, never on extra survivors.
-
-        Returns ``(terms, a_kernel, b_kernel)`` where ``terms`` is the
-        ordered list of ``(node, substripe)`` the kernels consume.
-        """
-
-        def build():
-            carrier = self.design.carrier_parity(failed_node)
-            assert carrier is not None
-            carrier_node = self.k + carrier
-            required = planning.piggyback_path_sources(self.design, failed_node)
-            assert required is not None
-            b_sources = sorted(required - {carrier_node})
-            inverse = self.memoized_decode_matrix(
-                ("piggyback-b", tuple(b_sources)),
-                lambda: gf_inv_matrix(self.generator[b_sources], self.field),
-            )
-            row_b_failed = gf_matmul(
-                self.generator[failed_node : failed_node + 1],
-                inverse,
-                self.field,
-            )[0]
-            row_f_carrier = gf_matmul(
-                self.generator[carrier_node : carrier_node + 1],
-                inverse,
-                self.field,
-            )[0]
-            inv_own = self.field.inv(
-                self.design.coefficient(carrier, failed_node)
-            )
-            terms = []
-            a_coefficients = []
-            b_coefficients = []
-            for i, node in enumerate(b_sources):
-                terms.append((node, planning.SECOND_SUBSTRIPE))
-                a_coefficients.append(
-                    self.field.mul(inv_own, int(row_f_carrier[i]))
-                )
-                b_coefficients.append(int(row_b_failed[i]))
-            terms.append((carrier_node, planning.SECOND_SUBSTRIPE))
-            a_coefficients.append(inv_own)
-            b_coefficients.append(0)
-            for member in self.design.group_of(failed_node):
-                if member == failed_node:
-                    continue
-                terms.append((member, planning.FIRST_SUBSTRIPE))
-                a_coefficients.append(
-                    self.field.mul(
-                        inv_own, self.design.coefficient(carrier, member)
-                    )
-                )
-                b_coefficients.append(0)
-            return (
-                terms,
-                PackedRow(np.array(a_coefficients, dtype=np.uint8), self.field),
-                PackedRow(np.array(b_coefficients, dtype=np.uint8), self.field),
-            )
-
-        return self._memoize(
-            "_packed_row_cache", failed_node, build, cap=PACKED_CACHE_CAP
-        )
-
-    def execute_repair_batch(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | list"],
-        plan: Optional[RepairPlan] = None,
-    ):
-        failed_node = self.validate_node_index(failed_node)
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        if width % 2:
-            raise RepairError(
-                f"unit size {width} not divisible by 2 substripes"
-            )
-        if plan is None:
-            plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
-        for node in plan.nodes_contacted:
-            if node not in rows_by_node:
-                raise RepairError(
-                    f"plan reads node {node} which is unavailable"
-                )
-        if not planning.is_piggyback_plan(plan):
-            # Full-path repairs (parities, blocked piggyback paths) are
-            # rare; run the scalar oracle per stripe.
-            return super().execute_repair_batch(
-                failed_node, available_units, plan=plan
-            )
-        half = width // 2
-        terms, a_kernel, b_kernel = self._packed_piggyback_rows(failed_node)
-        out = np.empty((stripes, width), dtype=np.uint8)
-        # Half-unit slices of 1-d rows stay contiguous, so both kernels
-        # run as one fused batch call each over the whole stripe set.
-        batch_views = [
-            [
-                rows_by_node[node][t][half:]
-                if substripe == planning.SECOND_SUBSTRIPE
-                else rows_by_node[node][t][:half]
-                for node, substripe in terms
-            ]
-            for t in range(stripes)
-        ]
-        a_kernel.apply_batch(batch_views, [out[t, :half] for t in range(stripes)])
-        b_kernel.apply_batch(batch_views, [out[t, half:] for t in range(stripes)])
-        return out, stripes * plan.bytes_downloaded(width)
-
-    def bind_repair_batch(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | list"],
-        out: np.ndarray,
-        plan: Optional[RepairPlan] = None,
-    ):
-        failed_node = self.validate_node_index(failed_node)
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        if width % 2:
-            raise RepairError(
-                f"unit size {width} not divisible by 2 substripes"
-            )
-        if plan is None:
-            plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
-        if not planning.is_piggyback_plan(plan):
-            return super().bind_repair_batch(
-                failed_node, available_units, out, plan=plan
-            )
-        for node in plan.nodes_contacted:
-            if node not in rows_by_node:
-                raise RepairError(
-                    f"plan reads node {node} which is unavailable"
-                )
-        if out.shape != (stripes, width) or out.dtype != np.uint8:
-            raise RepairError(
-                f"bound repair output must be uint8 {(stripes, width)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        half = width // 2
-        terms, a_kernel, b_kernel = self._packed_piggyback_rows(failed_node)
-        batch_views = [
-            [
-                rows_by_node[node][t][half:]
-                if substripe == planning.SECOND_SUBSTRIPE
-                else rows_by_node[node][t][:half]
-                for node, substripe in terms
-            ]
-            for t in range(stripes)
-        ]
-        run_a = a_kernel.bind_batch(
-            batch_views, [out[t, :half] for t in range(stripes)]
-        )
-        run_b = b_kernel.bind_batch(
-            batch_views, [out[t, half:] for t in range(stripes)]
-        )
-
-        def execute() -> None:
-            run_a()
-            run_b()
-
-        return execute
 
     # ------------------------------------------------------------------
     # Repair

@@ -35,7 +35,7 @@ from repro.gf import (
     systematic_generator_from_cauchy,
     systematic_generator_from_vandermonde,
 )
-from repro.gf.packed import PackedMatmul, PackedRow
+from repro.gf.packed import PackedMatmul
 
 #: Generator-matrix construction styles.
 CONSTRUCTIONS = ("vandermonde", "cauchy")
@@ -68,6 +68,7 @@ class ReedSolomonCode(ErasureCode):
     """
 
     substripes_per_unit = 1
+    bytewise_linear = True
 
     def __init__(
         self,
@@ -144,7 +145,8 @@ class ReedSolomonCode(ErasureCode):
         return data.reshape(self.k, unit_size)
 
     # ------------------------------------------------------------------
-    # Batched operations (fused packed-table kernels)
+    # Batched encode (fused packed-table kernels; decode and repair are
+    # compiled by the base class -- the code is bytewise linear)
     # ------------------------------------------------------------------
 
     def _packed_parity(self) -> PackedMatmul:
@@ -152,37 +154,6 @@ class ReedSolomonCode(ErasureCode):
             "_packed_matmul_cache",
             "parity",
             lambda: PackedMatmul(self.parity_matrix, self.field),
-            cap=PACKED_CACHE_CAP,
-        )
-
-    def _packed_repair_row(
-        self, failed_node: int, sources: tuple
-    ) -> PackedRow:
-        """Single-row repair kernel: ``generator[failed] @ inverse``.
-
-        The scalar path decodes all ``k`` data units and then projects
-        one row; composing the projection into the decode matrix first
-        makes repair a single linear combination of the ``k`` source
-        units -- identical GF algebra (exact arithmetic, so identical
-        bytes), ~``k``x less kernel work.
-        """
-
-        def build() -> PackedRow:
-            inverse = self.memoized_decode_matrix(
-                tuple(sources),
-                lambda: gf_inv_matrix(self.generator[list(sources)], self.field),
-            )
-            row = gf_matmul(
-                self.generator[failed_node : failed_node + 1],
-                inverse,
-                self.field,
-            )[0]
-            return PackedRow(row, self.field)
-
-        return self._memoize(
-            "_packed_row_cache",
-            (failed_node, tuple(sources)),
-            build,
             cap=PACKED_CACHE_CAP,
         )
 
@@ -195,78 +166,6 @@ class ReedSolomonCode(ErasureCode):
             out = np.empty((stripes, self.r, width), dtype=np.uint8)
         self._apply_packed_parity(self._packed_parity(), data, out)
         return out
-
-    def decode_batch(
-        self,
-        available_units: Mapping[int, "np.ndarray | list"],
-    ) -> np.ndarray:
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        out = np.empty((stripes, self.k, width), dtype=np.uint8)
-        data_nodes = [n for n in sorted(rows_by_node) if n < self.k]
-        if len(data_nodes) == self.k:
-            for node in range(self.k):
-                rows = rows_by_node[node]
-                for t in range(stripes):
-                    out[t, node] = rows[t]
-            return out
-        chosen = sorted(rows_by_node)[: self.k]
-        if len(chosen) < self.k:
-            raise DecodingError(
-                f"{self.name} needs {self.k} surviving units, got {len(chosen)}"
-            )
-        inverse = self.memoized_decode_matrix(
-            tuple(chosen),
-            lambda: gf_inv_matrix(self.generator[chosen], self.field),
-        )
-        pooled = np.empty((self.k, stripes * width), dtype=np.uint8)
-        for i, node in enumerate(chosen):
-            segment = pooled[i].reshape(stripes, width)
-            rows = rows_by_node[node]
-            for t in range(stripes):
-                segment[t] = rows[t]
-        product = gf_matmul(inverse, pooled, self.field)
-        out[:] = np.moveaxis(product.reshape(self.k, stripes, width), 1, 0)
-        return out
-
-    def execute_repair_batch(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | list"],
-        plan: Optional[RepairPlan] = None,
-    ):
-        failed_node = self.validate_node_index(failed_node)
-        stripes, width, rows_by_node = self.batch_unit_rows(available_units)
-        if plan is None:
-            plan = self.repair_plan_cached(failed_node, rows_by_node.keys())
-        sources = list(plan.nodes_contacted)
-        for node in sources:
-            if node not in rows_by_node:
-                raise RepairError(
-                    f"plan reads node {node} which is unavailable"
-                )
-        kernel = self._packed_repair_row(failed_node, tuple(sources))
-        out = np.empty((stripes, width), dtype=np.uint8)
-        self._apply_packed_row_batch(kernel, sources, rows_by_node, out)
-        return out, stripes * plan.bytes_downloaded(width)
-
-    def bind_repair_batch(
-        self,
-        failed_node: int,
-        available_units: Mapping[int, "np.ndarray | list"],
-        out: np.ndarray,
-        plan: Optional[RepairPlan] = None,
-    ):
-        _, sources, stripes, _, rows_by_node = self._bound_repair_kernel_inputs(
-            failed_node, available_units, out, plan
-        )
-        kernel = self._packed_repair_row(failed_node, tuple(sources))
-        return kernel.bind_batch(
-            [
-                [rows_by_node[node][t] for node in sources]
-                for t in range(stripes)
-            ],
-            list(out),
-        )
 
     # ------------------------------------------------------------------
     # Repair

@@ -146,7 +146,7 @@ def crc32c_batch(
     ----------
     rows:
         ``(num_rows, width)`` uint8 array, or a sequence of equal-width
-        1-d uint8 rows (stacked internally).
+        1-d uint8 rows (checksummed in place by the native kernel).
     lengths:
         Optional per-row logical lengths (``<= width``).  Row ``i``'s
         CRC covers only its first ``lengths[i]`` bytes -- the trailing
@@ -158,18 +158,24 @@ def crc32c_batch(
     ``(num_rows,)`` uint32 array; ``crc32c_batch(m)[i] == crc32c(m[i])``
     (the property tests pin this equivalence).
     """
-    matrix = np.asarray(rows)
-    if matrix.ndim == 1:
-        matrix = matrix.reshape(1, -1)
-    if matrix.ndim != 2:
-        raise EncodingError(
-            f"expected a (rows, width) matrix, got shape {matrix.shape}"
-        )
-    if matrix.dtype != np.uint8:
-        raise EncodingError(
-            f"checksums are defined over uint8 payloads, got {matrix.dtype}"
-        )
-    num_rows, width = matrix.shape
+    if isinstance(rows, np.ndarray):
+        if rows.ndim == 1:
+            rows = rows.reshape(1, -1)
+        if rows.ndim != 2:
+            raise EncodingError(
+                f"expected a (rows, width) matrix, got shape {rows.shape}"
+            )
+    # Rows are checksummed where they lie: a sequence of views (the
+    # degraded-read path hands over survivor units in place) is never
+    # stacked on the native path.
+    row_list = [np.asarray(row) for row in rows]
+    shapes = {row.shape for row in row_list}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise EncodingError(f"expected equal-width 1-d rows, got {shapes}")
+    if any(row.dtype != np.uint8 for row in row_list):
+        raise EncodingError("checksums are defined over uint8 payloads")
+    num_rows = len(row_list)
+    width = shapes.pop()[0] if shapes else 0
     if lengths is not None:
         length_arr = np.asarray(lengths, dtype=np.int64)
         if length_arr.shape != (num_rows,):
@@ -185,12 +191,14 @@ def crc32c_batch(
             )
     native = _native()
     if native is not None:
-        matrix = np.ascontiguousarray(matrix)
         if lengths is None:
             row_lengths = [width] * num_rows
         else:
             row_lengths = [int(n) for n in length_arr]
-        return native.crc32c_rows(list(matrix), row_lengths)
+        return native.crc32c_rows(
+            [np.ascontiguousarray(row) for row in row_list], row_lengths
+        )
+    matrix = np.array(row_list, dtype=np.uint8).reshape(num_rows, width)
     table = _table()
     crc = np.full(num_rows, 0xFFFFFFFF, dtype=np.uint32)
     if lengths is None:

@@ -131,8 +131,9 @@ class EncodeResult:
         (1 when serial) -- observability for the determinism tests and
         the benchmark harness.
     retries:
-        Shard attempts beyond the first (pool deaths and stalls trigger
-        resubmission on a fresh pool).
+        Shard attempts lost to injected worker crashes (each is retried
+        on a fresh pool), a function of the fault plan alone; pool
+        rebuilds and stalls are counted by the ``pipeline.*`` metrics.
     serial_fallback_shards:
         Shards that were ultimately encoded in-process after the pool
         died :data:`MAX_POOL_DEATHS` times.
@@ -546,13 +547,15 @@ def _run_shards_self_healing(
     Task-agnostic: ``worker_fn(task, attempt)`` runs in the pool and
     ``serial_fn(task)`` is the in-process fallback once the pool has
     died :data:`MAX_POOL_DEATHS` times; both encode and repair shards
-    ride the same machinery.  Tasks need only a ``shard`` attribute.
+    ride the same machinery.  Tasks need only a ``shard`` attribute
+    (encode tasks also carry their injected ``crash`` schedule).
 
     Returns ``(retries, serial_fallback_shards, results)`` where
-    ``results`` maps shard index to the worker's (or fallback's) return
-    value.  Raises :class:`PipelineError` for worker-side Python errors
-    (bugs are not retried) and propagates pool-creation failures to the
-    caller's degrade-to-serial handling.
+    ``retries`` counts consumed injected crashes and ``results`` maps
+    shard index to the worker's (or fallback's) return value.  Raises
+    :class:`PipelineError` for worker-side Python errors (bugs are not
+    retried) and propagates pool-creation failures to the caller's
+    degrade-to-serial handling.
     """
     pending: Dict[int, int] = {task.shard: 0 for task in tasks}  # shard -> attempt
     by_shard = {task.shard: task for task in tasks}
@@ -565,7 +568,14 @@ def _run_shards_self_healing(
     m = metrics()
 
     def _restart_pool() -> None:
-        """Kill the pool; every still-pending shard becomes a retry."""
+        """Kill the pool; every still-pending shard is resubmitted.
+
+        ``retries`` counts the injected crashes this restart consumes
+        (pending shards whose current attempt is scheduled to crash),
+        not the shards still pending: how many siblings finished before
+        the pool death was noticed depends on scheduling, the fault
+        plan's crashes do not.
+        """
         nonlocal pool, pool_deaths, retries
         assert pool is not None
         pool.shutdown(wait=False, cancel_futures=True)
@@ -574,8 +584,12 @@ def _run_shards_self_healing(
         submit_times.clear()
         pool_deaths += 1
         for shard in pending:
+            task = by_shard[shard]
+            if getattr(task, "crash", False) and (
+                pending[shard] < task.crash_attempts
+            ):
+                retries += 1
             pending[shard] += 1
-            retries += 1
         if m is not None:
             m.inc("pipeline.pool_rebuilds")
             m.inc("pipeline.shard_retries", len(pending))
@@ -1002,8 +1016,11 @@ def encode_stream(
 #
 # The core (:class:`_StripeRebuilder`) runs every uniform full-width
 # run of stripes through ``ErasureCode.bind_repair_batch`` -- the whole
-# survivor wave is one pre-marshalled native kernel call -- and drops
-# to the scalar oracle path only for ragged tail stripes and checksum
+# survivor wave is one pre-marshalled native kernel call -- and a
+# ragged tail stripe through the same compiled executor at one stripe,
+# with virtual padding slots as shared zero units.  Degraded reads
+# decode only the erased data rows and hand surviving data units to
+# the sink as views.  The scalar oracle runs only in checksum
 # quarantine retries.  Checksum semantics mirror the raid node's
 # optimistic repair: rebuild first, verify the rebuilt unit, and only
 # on mismatch checksum the survivors, quarantine the corrupt ones,
@@ -1126,10 +1143,11 @@ class _StripeRebuilder:
     The shared core of :func:`repair_stream`,
     :class:`CompiledFileRepair` and the pooled repair workers.  Uniform
     full-width runs go through the code's fused batch executors (one
-    native call per survivor wave); ragged tail stripes and checksum
-    quarantine retries use the scalar oracle path.  Accounting
-    (``bytes_read``, ``crc_mismatches``, ``quarantined``) accumulates
-    on the instance between :meth:`reset` calls.
+    native call per survivor wave), ragged tail stripes through the
+    same executors at one stripe; only checksum quarantine retries use
+    the scalar oracle path.  Accounting (``bytes_read``,
+    ``crc_mismatches``, ``quarantined``) accumulates on the instance
+    between :meth:`reset` calls.
 
     ``checksums`` maps slot index to a per-stripe sequence of CRC32C
     values over each stripe's *stored* bytes.  Verification is strictly
@@ -1210,7 +1228,7 @@ class _StripeRebuilder:
             out[i] = self._quarantine_retry(t0 + i, units, frozenset())
 
     def repair_stripe(self, t: int, units: Mapping[int, np.ndarray]):
-        """Scalar repair of stripe ``t``; returns the rebuilt unit.
+        """Repair one (ragged) stripe ``t``; returns the rebuilt unit.
 
         ``units`` holds width-padded rows for the provided non-virtual
         slots; virtual padding slots are synthesised as shared zeros.
@@ -1227,7 +1245,11 @@ class _StripeRebuilder:
             if slot != self.failed_slot:
                 units.setdefault(slot, _shared_zero_unit(width))
         plan = self.code.repair_plan_cached(self.failed_slot, units.keys())
-        rebuilt, _ = self.code.execute_repair(self.failed_slot, units, plan)
+        rebuilt = self.code.execute_repair_batch(
+            self.failed_slot,
+            {slot: [unit] for slot, unit in units.items()},
+            plan,
+        )[0][0]
         self.bytes_read += self._plan_bytes(plan, width, virtual)
         expected = self.checksums.get(self.failed_slot)
         if expected is not None:
@@ -1430,10 +1452,27 @@ def _stream_shards(
                 if bufset is None:
                     return
                 bufset.pooled = True
-                rows_by_slot: Dict[int, List[Optional[np.ndarray]]] = {}
+                rows_by_slot: Dict[int, Sequence[Optional[np.ndarray]]] = {}
+                run = t1 - t0
                 for slot in slots:
-                    rows: List[Optional[np.ndarray]] = []
-                    if slot in views:
+                    rows: "List[Optional[np.ndarray]] | np.ndarray" = []
+                    # Every stripe stores a full-width row: the chunk is
+                    # one (run, width) block of the shard.
+                    contiguous = all(
+                        not geometry.is_virtual(t, slot)
+                        and geometry.stored_size(t, slot)
+                        == geometry.widths[t]
+                        == width
+                        for t in range(t0, t1)
+                    )
+                    if slot in views and contiguous:
+                        cursor = cursors[slot]
+                        rows = views[slot][
+                            cursor : cursor + run * width
+                        ].reshape(run, width)
+                        cursors[slot] = cursor + run * width
+                        bufset.pooled = False
+                    elif slot in views:
                         view = views[slot]
                         cursor = cursors[slot]
                         for i, t in enumerate(range(t0, t1)):
@@ -1459,21 +1498,10 @@ def _stream_shards(
                     else:
                         handle = handles[slot]
                         buffer = bufset.slot_buffer(slot)
-                        contiguous = all(
-                            not geometry.is_virtual(t, slot)
-                            and geometry.stored_size(t, slot)
-                            == geometry.widths[t]
-                            == width
-                            for t in range(t0, t1)
-                        )
                         if contiguous:
-                            run = t1 - t0
                             flat = buffer[: run * width]
                             _read_exact(handle, memoryview(flat), slot)
-                            rows = [
-                                buffer[i * width : (i + 1) * width]
-                                for i in range(run)
-                            ]
+                            rows = flat.reshape(run, width)
                         else:
                             for i, t in enumerate(range(t0, t1)):
                                 if geometry.is_virtual(t, slot):
@@ -1890,6 +1918,21 @@ def decode_file(
             if not _verify_failures(t, data, layout):
                 return data
 
+    def decode_rows(units_by_slot):
+        """Data slot -> per-stripe rows: survivors in place, erased
+        slots from one compiled kernel over the whole run."""
+        data = {
+            slot: units_by_slot[slot]
+            for slot in range(code.k)
+            if slot in units_by_slot
+        }
+        lost = [slot for slot in range(code.k) if slot not in data]
+        if lost:
+            decoded = code.decode_batch(units_by_slot, slots=lost)
+            for i, slot in enumerate(lost):
+                data[slot] = decoded[:, i]
+        return data
+
     def rebuild_chunk(t0, t1, rows_by_slot, bufset):
         payloads: List[np.ndarray] = []
         uniform_until = min(t1, geometry.uniform_stripes)
@@ -1898,27 +1941,29 @@ def decode_file(
             uniform_rows = {
                 slot: rows[:run] for slot, rows in rows_by_slot.items()
             }
-            data = code.decode_batch(uniform_rows)
+            data = decode_rows(uniform_rows)
             bad: set = set()
             size = geometry.block_size
             for slot in range(code.k):
                 values = checks.get(slot)
                 if values is None:
                     continue
-                actual = crc32c_batch(data[:, slot, :], lengths=[size] * run)
+                actual = crc32c_batch(data[slot], lengths=[size] * run)
                 wanted = np.asarray(
                     values[t0 : t0 + run], dtype=np.uint32
                 )
                 bad.update(int(i) for i in np.nonzero(actual != wanted)[0])
-            for i in sorted(bad):
-                units = {
-                    slot: np.asarray(rows[i])
-                    for slot, rows in uniform_rows.items()
-                }
-                data[i] = _decode_retry(t0 + i, units)
             for i in range(run):
-                for slot in range(code.k):
-                    payloads.append(data[i, slot, :size])
+                stripe = [data[slot][i] for slot in range(code.k)]
+                if i in bad:
+                    stripe = _decode_retry(
+                        t0 + i,
+                        {
+                            slot: np.asarray(rows[i])
+                            for slot, rows in uniform_rows.items()
+                        },
+                    )
+                payloads.extend(row[:size] for row in stripe)
         for t in range(max(t0, uniform_until), t1):
             layout = geometry.layouts[t]
             width = geometry.widths[t]
@@ -1930,13 +1975,14 @@ def decode_file(
             for slot in range(layout.k):
                 if layout.data_block_ids[slot] is None:
                     units.setdefault(slot, _shared_zero_unit(width))
-            data = code.decode(units)
-            if _verify_failures(t, data, layout):
-                data = _decode_retry(t, units)
+            data = decode_rows({slot: [unit] for slot, unit in units.items()})
+            stripe = [data[slot][0] for slot in range(layout.k)]
+            if _verify_failures(t, stripe, layout):
+                stripe = _decode_retry(t, units)
             for slot in range(layout.k):
                 if layout.data_block_ids[slot] is None:
                     continue
-                payloads.append(data[slot][: layout.data_sizes[slot]])
+                payloads.append(stripe[slot][: layout.data_sizes[slot]])
         return payloads
 
     with span("pipeline.decode_file"):
@@ -2003,11 +2049,11 @@ class CompiledFileRepair:
     every uniform full-width wave is bound once to the shard buffers
     via :meth:`~repro.codes.base.ErasureCode.bind_repair_batch`;
     :meth:`run` then replays the waves as single native calls over the
-    *current* shard contents, plus scalar handling for ragged tail
-    stripes.  Compile once, run per repair: steady state is exactly the
-    fused kernels with no per-stripe Python work.  This is the shape
-    the repair benchmarks measure, and the pooled parallel path ships
-    per-stripe-range instances of it to the workers.
+    *current* shard contents, plus the same compiled kernel at one
+    stripe for the ragged tail.  Compile once, run per repair: steady
+    state is exactly the fused kernels with no per-stripe Python work.
+    This is the shape the repair benchmarks measure, and the pooled
+    parallel path ships per-stripe-range instances of it to the workers.
 
     When a shard's stored row width differs from the padded stripe
     width (block sizes not divisible by the code's unit alignment), the

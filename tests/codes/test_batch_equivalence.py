@@ -9,6 +9,8 @@ nodes; byte accounting from ``execute_repair_batch`` must equal the sum
 of the scalar plans' bytes.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 from repro.codes.crs import CauchyBitmatrixRSCode
 from repro.codes.lrc import LRCCode
 from repro.codes.piggyback.code import PiggybackedRSCode
+from repro.codes.piggyback.repair import is_piggyback_plan
 from repro.codes.rs import ReedSolomonCode
+from repro.errors import DecodingError, EncodingError, RepairError
 
 CODES = {
     "rs": lambda: ReedSolomonCode(6, 3),
@@ -138,3 +142,102 @@ def test_batch_accepts_row_view_sequences(key):
     rebuilt, _ = code.execute_repair_batch(0, available)
     for t in range(3):
         assert np.array_equal(rebuilt[t], stripes_units[t][0])
+
+
+#: Codes whose decode and repair compile to one GF(2^8) matrix per
+#: pattern; the (10, 4) Piggybacked-RS is the paper's code.
+LINEAR = {
+    "rs": lambda: ReedSolomonCode(6, 3),
+    "lrc": lambda: LRCCode(6, 2, 2),
+    "piggyback": lambda: PiggybackedRSCode(6, 3),
+    "piggyback-10-4": lambda: PiggybackedRSCode(10, 4),
+}
+
+
+def _patterns(code, failed):
+    """Every survivor set left after ``failed`` plus up to r-1 more."""
+    others = [node for node in range(code.n) if node != failed]
+    for extra in range(code.r):
+        for lost in itertools.combinations(others, extra):
+            yield [node for node in others if node not in lost]
+
+
+@pytest.mark.parametrize("key", sorted(LINEAR))
+def test_bind_repair_batch_matches_execute_and_scalar(key):
+    """Every failed slot x survivor set: the bound executor, the batch
+    call and the scalar oracle agree byte for byte, and the batch meters
+    exactly the plan's bytes -- parity slots and blocked piggyback
+    paths included."""
+    code = LINEAR[key]()
+    rng = np.random.default_rng(5)
+    width = 2 * code.unit_alignment * 5
+    data = rng.integers(0, 256, size=(2, code.k, width), dtype=np.uint8)
+    stripes_units = _stripe_units(code, data)
+    shapes = set()
+    for failed in range(code.n):
+        for survivors in _patterns(code, failed):
+            try:
+                plan = code.repair_plan_cached(failed, survivors)
+            except RepairError:
+                continue  # LRC past its tolerance
+            shapes.add((failed >= code.k, is_piggyback_plan(plan)))
+            available = {
+                node: np.stack([units[node] for units in stripes_units])
+                for node in survivors
+            }
+            bound = np.empty((2, width), dtype=np.uint8)
+            code.bind_repair_batch(failed, available, bound, plan)()
+            rebuilt, nbytes = code.execute_repair_batch(
+                failed, available, plan
+            )
+            assert nbytes == 2 * plan.bytes_downloaded(width)
+            for t, units in enumerate(stripes_units):
+                scalar, _ = code.execute_repair(
+                    failed, {node: units[node] for node in survivors}, plan
+                )
+                assert np.array_equal(bound[t], scalar)
+                assert np.array_equal(rebuilt[t], scalar)
+                assert np.array_equal(scalar, units[failed])
+    if key.startswith("piggyback"):
+        # data via piggyback, data with the path blocked, parity
+        assert {(False, True), (False, False), (True, False)} <= shapes
+
+
+@pytest.mark.parametrize("key", sorted(LINEAR))
+def test_erasure_only_decode_batch_matches_scalar(key):
+    """Every pattern of up to r erasures: decoding only the erased data
+    slots equals the scalar decode's rows (and the data)."""
+    code = LINEAR[key]()
+    rng = np.random.default_rng(9)
+    width = code.unit_alignment * 7
+    data = rng.integers(0, 256, size=(3, code.k, width), dtype=np.uint8)
+    stripes_units = _stripe_units(code, data)
+    for count in range(1, code.r + 1):
+        for erased in itertools.combinations(range(code.n), count):
+            survivors = [node for node in range(code.n) if node not in erased]
+            try:
+                code.decode({n: stripes_units[0][n] for n in survivors})
+            except DecodingError:
+                continue  # LRC: not every r-pattern is decodable
+            lost = [slot for slot in erased if slot < code.k]
+            available = {
+                node: [units[node] for units in stripes_units]
+                for node in survivors
+            }
+            decoded = code.decode_batch(available, slots=lost)
+            assert decoded.shape == (3, len(lost), width)
+            for t, units in enumerate(stripes_units):
+                scalar = code.decode({n: units[n] for n in survivors})
+                assert np.array_equal(decoded[t], scalar[lost])
+                assert np.array_equal(decoded[t], data[t][lost])
+
+
+def test_compiled_paths_reject_units_that_do_not_split():
+    """A Piggybacked-RS unit of odd width has no half rows: the batch
+    paths refuse it like the scalar oracle does."""
+    code = PiggybackedRSCode(6, 3)
+    rows = {node: np.zeros((2, 7), dtype=np.uint8) for node in range(1, 9)}
+    with pytest.raises(EncodingError):
+        code.execute_repair_batch(0, rows)
+    with pytest.raises(EncodingError):
+        code.decode_batch(rows, slots=[0])

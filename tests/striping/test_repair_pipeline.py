@@ -12,6 +12,7 @@ files, ragged tails, virtual padding slots, corrupted survivors
 """
 
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -432,3 +433,121 @@ def test_empty_and_sub_block_files_round_trip():
             checksums=checksums,
         )
         assert sink.getvalue() == data.tobytes()
+
+
+#: (file size in blocks + extra bytes, block size): a sub-stripe file,
+#: a ragged last stripe with virtual slots, and an unaligned short last
+#: block (odd block size, so Piggybacked-RS pads every row by a byte).
+_TAIL_SHAPES = [(2, 0, 64), (9, 13, 64), (8, 5, 33), (17, 1, 33)]
+
+
+def _tail_case(code, blocks, extra, block_size):
+    file_size = blocks * block_size + extra
+    data = np.random.default_rng(file_size).integers(
+        0, 256, size=file_size, dtype=np.uint8
+    )
+    return (file_size, data) + _materialise(code, "f", data, block_size)
+
+
+@pytest.mark.parametrize("code_name", ["rs", "lrc", "piggyback"])
+@pytest.mark.parametrize("blocks,extra,block_size", _TAIL_SHAPES)
+def test_ragged_tails_match_stripe_codec(code_name, blocks, extra, block_size):
+    """Every slot of every tail shape: repair_file, repair_stream and
+    decode_file equal StripeCodec byte for byte, with its bytes_read."""
+    code = _CODES[code_name]
+    file_size, data, layouts, per_stripe, shards, checksums = _tail_case(
+        code, blocks, extra, block_size
+    )
+    codec = StripeCodec(code)
+    for failed in range(code.n):
+        oracle_bytes = 0
+        for layout, slot_map in zip(layouts, per_stripe):
+            if failed in slot_map:
+                available = {s: b for s, b in slot_map.items() if s != failed}
+                oracle_bytes += codec.repair_block(layout, failed, available)[1]
+        sources = {s: shards[s] for s in range(code.n) if s != failed}
+        whole = repair_file(
+            code, sources, failed, block_size, file_size,
+            name="f", checksums=checksums, parallel=False,
+        )
+        assert whole.rebuilt.tobytes() == shards[failed]
+        assert whole.bytes_read == oracle_bytes
+        sink = io.BytesIO()
+        streamed = repair_stream(
+            code, sources, sink, block_size, failed, file_size,
+            name="f", checksums=checksums, chunk_stripes=1,
+        )
+        assert sink.getvalue() == shards[failed]
+        assert streamed.bytes_read == oracle_bytes
+        for erased in ({failed}, {failed, (failed + code.k) % code.n}):
+            survivors = {
+                s: shards[s] for s in range(code.n) if s not in erased
+            }
+            sink = io.BytesIO()
+            read = decode_file(
+                code, survivors, sink, block_size, file_size,
+                name="f", checksums=checksums,
+            )
+            assert sink.getvalue() == data.tobytes()
+            assert read.bytes_read == sum(map(len, survivors.values()))
+
+
+@pytest.mark.parametrize("code_name", ["rs", "lrc", "piggyback"])
+def test_uncorrupted_runs_never_call_the_scalar_oracle(code_name, monkeypatch):
+    """Outside quarantine retries every entry point runs compiled
+    kernels: each pattern probes the scalar oracle once to compile, and
+    a rerun with the oracle raising still succeeds."""
+    code = pickle.loads(pickle.dumps(_CODES[code_name]))  # empty caches
+    block_size = 33
+    file_size, data, _, _, shards, checksums = _tail_case(code, 41, 7, 33)
+    calls = []
+
+    def counted(name):
+        original = getattr(type(code), name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar oracle called outside a retry")
+
+    def run_all():
+        for failed in (0, code.k):
+            sources = {s: shards[s] for s in range(code.n) if s != failed}
+            whole = repair_file(
+                code, sources, failed, block_size, file_size,
+                name="f", checksums=checksums, parallel=False,
+            )
+            assert whole.rebuilt.tobytes() == shards[failed]
+            compiled = CompiledFileRepair(
+                code, sources, failed, block_size, file_size,
+                name="f", checksums=checksums,
+            )
+            compiled.run()
+            assert compiled.out.tobytes() == shards[failed]
+            sink = io.BytesIO()
+            repair_stream(
+                code, sources, sink, block_size, failed, file_size,
+                name="f", checksums=checksums, chunk_stripes=2,
+            )
+            assert sink.getvalue() == shards[failed]
+            sink = io.BytesIO()
+            decode_file(
+                code,
+                {s: shards[s] for s in range(code.n) if s not in (1, failed)},
+                sink, block_size, file_size, name="f", checksums=checksums,
+            )
+            assert sink.getvalue() == data.tobytes()
+
+    for name in ("execute_repair", "decode"):
+        monkeypatch.setattr(type(code), name, counted(name))
+    run_all()
+    # One probe per compiled pattern (uniform and tail, per failed slot
+    # and per read), however many stripes the file has.
+    assert 0 < len(calls) <= 8
+    for name in ("execute_repair", "decode"):
+        monkeypatch.setattr(type(code), name, forbidden)
+    run_all()

@@ -142,6 +142,9 @@ class TestBenchCommand:
         assert "numpy" in out
         assert "RS(10,4).file_encode" in out
         assert "RS(10,4).file_repair" in out
+        assert "PiggybackedRS(10,4).file_repair.data" in out
+        assert "PiggybackedRS(10,4).file_repair.parity" in out
+        assert "units/rebuilt" in out
         assert "CRS(10,4).encode" in out
         assert "CRS(10,4).decode" in out
 
@@ -157,8 +160,15 @@ class TestBenchCommand:
         assert set(meta["gf_backends"]) == {"numpy", "cffi", "numba"}
         rows = payload["rows"]
         numpy_rows = [r for r in rows if r["backend"] == "numpy"]
-        assert len(numpy_rows) == 4
+        assert len(numpy_rows) == 6
         assert all(r["vs_numpy"] == 1.0 for r in numpy_rows)
+        # Downloaded units per rebuilt unit: Piggybacked-RS reads 7 for
+        # a data slot where RS reads 10; a parity slot costs 10 either way.
+        units = {r["workload"]: r["units_per_rebuilt"] for r in numpy_rows}
+        assert units["RS(10,4).file_repair"] == 10
+        assert units["PiggybackedRS(10,4).file_repair.data"] == 7
+        assert units["PiggybackedRS(10,4).file_repair.parity"] == 10
+        assert units["RS(10,4).file_encode"] is None
         # Unavailable tiers document their reason instead of numbers.
         for row in rows:
             if row["MB_per_s"] is None:
