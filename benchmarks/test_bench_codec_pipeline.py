@@ -136,7 +136,7 @@ def test_file_encode_throughput(benchmark):
     state = {}
 
     def run():
-        state["result"] = encode_file(CODE, data, UNIT_SIZE, parallel=False)
+        state["result"] = encode_file(CODE, data, UNIT_SIZE)
 
     benchmark.pedantic(
         run, rounds=BENCH_ROUNDS, warmup_rounds=WARMUP_ROUNDS, iterations=1
@@ -189,7 +189,7 @@ def test_file_encode_throughput(benchmark):
 
 def test_file_repair_throughput(benchmark):
     data = _make_file()
-    encoded = encode_file(CODE, data, UNIT_SIZE, parallel=False)
+    encoded = encode_file(CODE, data, UNIT_SIZE)
     layouts = encoded.layouts
     slot_lists = _data_slot_lists(layouts, encoded.file.blocks)
     requests = []
@@ -438,7 +438,6 @@ def test_file_repair_e2e_throughput(benchmark):
             file_size,
             name="bench",
             checksums=checksums,
-            parallel=False,
         )
 
     benchmark.pedantic(

@@ -69,7 +69,7 @@ def _make_inputs():
     data = rng.integers(
         0, 256, size=STRIPES * CODE.k * UNIT_SIZE, dtype=np.uint8
     )
-    encoded = encode_file(CODE, data, UNIT_SIZE, parallel=False)
+    encoded = encode_file(CODE, data, UNIT_SIZE)
     layouts = encoded.layouts
     slot_lists = _data_slot_lists(layouts, encoded.file.blocks)
     return data, layouts, slot_lists

@@ -40,8 +40,7 @@ def main() -> None:
 
     print("== 0. the raid node's file-encode pipeline ==")
     # The same batched data plane the raid node uses below, run
-    # standalone: stripes sharded over shared memory when a pool helps,
-    # serial through the zero-copy batch path otherwise.
+    # standalone through the zero-copy batch path.
     sample = rng.integers(0, 256, size=40 * BLOCK_SIZE, dtype=np.uint8)
     start = time.perf_counter()
     encoded = encode_file(PiggybackedRSCode(10, 4), sample, BLOCK_SIZE)
@@ -49,8 +48,7 @@ def main() -> None:
     print(f"  encoded {format_bytes(sample.size)} into "
           f"{len(encoded.layouts)} stripes "
           f"({format_bytes(encoded.parity_bytes)} parity) in "
-          f"{elapsed * 1e3:.0f} ms -- {sample.size / elapsed / 1e6:.0f} MB/s, "
-          f"{'parallel' if encoded.parallel_used else 'serial'} mode")
+          f"{elapsed * 1e3:.0f} ms -- {sample.size / elapsed / 1e6:.0f} MB/s")
 
     print("\n== 1. hot data arrives, 3-way replicated ==")
     files = {}

@@ -89,9 +89,7 @@ def _rs_file_encode(unit_size: int) -> Callable[[], object]:
     code = ReedSolomonCode(10, 4)
     rng = np.random.default_rng(2013)
     data = rng.integers(0, 256, 10 * unit_size * 4, dtype=np.uint8)
-    return lambda: encode_file(
-        code, data, unit_size, name="bench", parallel=False
-    )
+    return lambda: encode_file(code, data, unit_size, name="bench")
 
 
 def _crs_encode(unit_size: int) -> Callable[[], object]:

@@ -11,10 +11,10 @@ Subcommands:
   optional ``--chaos-*`` fault injection);
 - ``repro pipeline`` -- measure file encode, whole-shard repair
   (compiled repair plans), or streaming degraded-read throughput
-  through the batched codec / shared-memory pipeline (``--op``);
+  through the in-process batched codec pipeline (``--op``);
 - ``repro chaos`` -- run the seeded fault-injection acceptance
-  scenario (pipeline worker crashes + cluster corruption + node flap)
-  and report whether the system self-healed;
+  scenario (cluster corruption + a dead node + a mid-recovery node
+  flap) and report whether the system self-healed;
 - ``repro scrub`` -- corrupt stored units in a mini-cluster with a
   seeded plan, then scrub and repair them;
 - ``repro bench`` -- time the codec workloads under every available GF
@@ -271,10 +271,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         code_params=_chaos_code_params(args.code),
     )
     print(f"chaos scenario: code={report.code_name}  seed={report.seed}")
-    print(f"pipeline output identical to serial : {report.pipeline_identical}")
-    print(f"pipeline retries / serial fallbacks : "
-          f"{report.pipeline_retries} / {report.serial_fallback_shards}")
-    print(f"shared-memory segments leaked       : {report.shm_leaked}")
     print(f"faults injected into the cluster    : {len(report.faults)}")
     for fault in report.faults:
         print(f"  {fault.kind:<10} stripe={fault.stripe_id} "
@@ -304,7 +300,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
         seed=args.seed,
         bit_flips=(args.corruptions + 1) // 2,
         truncations=args.corruptions // 2,
-        worker_crashes=0,
         node_flaps=0,
     )
     topology = Topology(num_racks=10, nodes_per_rack=2)
@@ -389,7 +384,7 @@ def _materialise_shards(code, data, block_size, name):
     )
 
 
-def _pipeline_encode(args, code, data, size, block_size, parallel):
+def _pipeline_encode(args, code, data, size, block_size):
     import time
 
     from repro.striping.pipeline import encode_file
@@ -398,24 +393,20 @@ def _pipeline_encode(args, code, data, size, block_size, parallel):
     result = None
     for _ in range(max(1, args.rounds)):
         start = time.perf_counter()
-        result = encode_file(
-            code, data, block_size, name="bench", parallel=parallel
-        )
+        result = encode_file(code, data, block_size, name="bench")
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     assert result is not None and best is not None
     mb = size / 1e6
     print(f"code: {code.name}  file: {mb:.0f} MB  "
           f"block: {block_size // 1024} KiB  stripes: {len(result.layouts)}")
-    print(f"mode: {'parallel' if result.parallel_used else 'serial'} "
-          f"({result.shards} shard{'s' if result.shards != 1 else ''})")
     print(f"encode throughput: {mb / best:.1f} MB/s "
           f"(best of {max(1, args.rounds)}, {best * 1e3:.1f} ms)")
     print(f"parity bytes: {result.parity_bytes:,}")
     return 0
 
 
-def _pipeline_repair(args, code, data, size, block_size, parallel):
+def _pipeline_repair(args, code, data, size, block_size):
     import time
 
     from repro.striping.pipeline import repair_file
@@ -431,7 +422,7 @@ def _pipeline_repair(args, code, data, size, block_size, parallel):
         start = time.perf_counter()
         result = repair_file(
             code, shards, failed, block_size, size,
-            name="bench", checksums=checksums, parallel=parallel,
+            name="bench", checksums=checksums,
         )
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
@@ -443,9 +434,7 @@ def _pipeline_repair(args, code, data, size, block_size, parallel):
     kind = "data" if failed < code.k else "parity"
     print(f"code: {code.name}  file: {size / 1e6:.0f} MB  "
           f"block: {block_size // 1024} KiB  stripes: {stripes}")
-    print(f"failed slot: {failed} ({kind})  "
-          f"mode: {'parallel' if result.parallel_used else 'serial'} "
-          f"({result.shards} shard{'s' if result.shards != 1 else ''})")
+    print(f"failed slot: {failed} ({kind})")
     print(f"repair throughput: {rebuilt_mb / best:.1f} MB/s rebuilt "
           f"(best of {max(1, args.rounds)}, {best * 1e3:.1f} ms)")
     ratio = result.bytes_read / max(1, result.rebuilt_bytes)
@@ -513,15 +502,12 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     block_size = int(args.block_kib * 1024)
     rng = np.random.default_rng(args.seed)
     data = rng.integers(0, 256, size=size, dtype=np.uint8)
-    parallel = {"auto": None, "on": True, "off": False}[args.parallel]
     if args.op == "repair":
-        status = _pipeline_repair(args, code, data, size, block_size,
-                                  parallel)
+        status = _pipeline_repair(args, code, data, size, block_size)
     elif args.op == "decode":
         status = _pipeline_decode(args, code, data, size, block_size)
     else:
-        status = _pipeline_encode(args, code, data, size, block_size,
-                                  parallel)
+        status = _pipeline_encode(args, code, data, size, block_size)
     if emit:
         _finish_metrics(args)
     return status
@@ -871,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_parser = sub.add_parser(
         "pipeline",
         help="measure file encode/repair/degraded-read throughput "
-        "(batched codec, compiled repair plans, shm pool)",
+        "(batched codec, compiled repair plans, in-process)",
     )
     pipe_parser.add_argument(
         "--op",
@@ -894,12 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_parser.add_argument("--rounds", type=int, default=3)
     pipe_parser.add_argument("--seed", type=int, default=0)
     pipe_parser.add_argument(
-        "--parallel",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="process pool: auto-detect, force on, or force off",
-    )
-    pipe_parser.add_argument(
         "--emit-metrics",
         metavar="PATH",
         default=None,
@@ -919,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         default="",
         help=(
-            "fault-plan overrides, REPRO_CHAOS grammar without the seed "
-            "(e.g. 'bit_flips=2,worker_crashes=1')"
+            "fault-plan overrides as key=value pairs "
+            "(e.g. 'bit_flips=2,truncations=0,node_flaps=1')"
         ),
     )
     chaos_parser.add_argument(

@@ -18,7 +18,7 @@ independent child seeds from one master seed via
 
 Set ``REPRO_PARALLEL=0`` to force serial execution (useful on CI
 machines where process pools are unwelcome); the accepted values and
-precedence rules are shared with the file pipeline via
+precedence rules are shared with the sharded simulator via
 :func:`repro.parallel.decide_parallel`.
 """
 

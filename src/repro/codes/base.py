@@ -322,7 +322,7 @@ class ErasureCode(abc.ABC):
 
         The caches (``*_cache`` attributes) are pure derived state and
         can hold megabytes of packed gather tables; dropping them keeps
-        code objects cheap to ship to pipeline worker processes, which
+        code objects cheap to pickle into worker processes, which
         rebuild whatever they need on first use.
         """
         return {

@@ -49,10 +49,12 @@ class CorruptionError(ReproError):
 
 
 class PipelineError(ReproError):
-    """A file-pipeline shard failed on the worker side.
+    """A file-pipeline operation failed outside the codec itself.
 
-    Carries the shard's stripe range in its message so a failure in a
-    process-pool worker can be attributed without replaying the run.
+    Raised when a streamed survivor source is short or a streaming
+    reader or writer thread fails (the message names the slot or file
+    and the underlying error), and when a caller asks for the process
+    pool the file pipeline no longer has.
     """
 
 

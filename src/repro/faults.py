@@ -1,67 +1,42 @@
 """Seeded deterministic fault injection: the chaos engine.
 
 The integrity layer (checksummed units, quarantine-and-retry repair,
-the self-healing pipeline) exists to survive faults that never occur in
-clean unit tests: silent bit rot, torn writes, dying pool workers,
-stragglers, nodes flapping in the middle of a recovery wave.
-:class:`FaultPlan` injects exactly those faults, *deterministically*:
-every decision derives from ``SeedSequence(seed, hash(scope))``, so the
-same plan produces the same faults in the same places on every run --
-chaos you can put in CI and bisect when it fails.
+scrubbing) exists to survive faults that never occur in clean unit
+tests: silent bit rot, torn writes, nodes flapping in the middle of a
+recovery wave.  :class:`FaultPlan` injects exactly those faults,
+*deterministically*: every decision derives from
+``SeedSequence(seed, hash(scope))``, so the same plan produces the same
+faults in the same places on every run -- chaos you can put in CI and
+bisect when it fails.  Faults are always explicit: a plan is built in
+code, by ``repro chaos --spec`` (:meth:`FaultPlan.parse`), or from the
+``chaos_*`` fields of :class:`~repro.cluster.config.ClusterConfig`.
 
 Entry points
 ------------
 
-- :meth:`FaultPlan.from_env` -- ambient injection via ``REPRO_CHAOS``
-  (``"<seed>"`` or ``"<seed>:bit_flips=2,worker_crashes=1"``).  Only
-  the file pipeline consults the environment, because it self-heals to
-  byte-identical output; cluster faults are always explicit (a
-  simulation that silently corrupted itself under an env var would no
-  longer be a reproduction).
 - :func:`inject_cluster_faults` -- apply the plan's bit-flips and
   truncations to stored stripe units of a mini-HDFS cluster.
 - :meth:`FaultPlan.flap_events` -- extra unavailability events for the
-  cluster-scale simulator (explicitly enabled through
-  :class:`~repro.cluster.config.ClusterConfig`).
-- :func:`run_chaos_scenario` -- the end-to-end acceptance harness:
-  pipeline with a crashing worker, cluster with corrupt units, a dead
-  node, and a mid-recovery flap, converging to byte-identical data
-  with zero leaked shared-memory segments.
-- :func:`track_shared_memory` -- context manager that audits shared
-  memory create/unlink pairing during the scenario.
+  cluster-scale simulator.
+- :func:`run_chaos_scenario` -- the end-to-end acceptance harness: a
+  cluster with corrupt units, a dead node, and a mid-recovery flap,
+  converging to byte-identical data.
 
 The faults themselves are physical, not mocked: a bit-flip XORs a byte
-of a stored payload, a truncation zeroes the tail (a torn write: the
-unit keeps its length, loses its content), a worker crash is a real
-``os._exit`` inside a pool process.
+of a stored payload, and a truncation zeroes the tail (a torn write:
+the unit keeps its length, loses its content).
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.observability import metrics
-
-#: Environment variable enabling ambient pipeline chaos.
-CHAOS_ENV = "REPRO_CHAOS"
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """Faults assigned to one pipeline shard attempt."""
-
-    shard: int
-    #: Crash the worker (``os._exit``) on attempts < crash_attempts.
-    crash: bool = False
-    #: Straggler delay in seconds (0 = none).
-    delay: float = 0.0
-
 
 @dataclass(frozen=True)
 class UnitFault:
@@ -87,29 +62,13 @@ class FaultPlan:
     bit_flips: int = 1
     #: Stored units whose payload tail gets zeroed (torn write).
     truncations: int = 1
-    #: Pipeline shards whose worker dies mid-encode.
-    worker_crashes: int = 1
-    #: How many attempts of a crashing shard die before it succeeds.
-    crash_attempts: int = 1
-    #: Pipeline shards that sleep before encoding (stragglers).
-    stragglers: int = 0
-    straggler_seconds: float = 0.02
     #: Nodes that go down (and come back) mid-recovery-wave.
     node_flaps: int = 1
 
     def __post_init__(self):
-        for name in (
-            "bit_flips",
-            "truncations",
-            "worker_crashes",
-            "crash_attempts",
-            "stragglers",
-            "node_flaps",
-        ):
+        for name in ("bit_flips", "truncations", "node_flaps"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"FaultPlan.{name} must be >= 0")
-        if self.straggler_seconds < 0:
-            raise ConfigError("straggler_seconds must be >= 0")
 
     # ------------------------------------------------------------------
     # Deterministic randomness
@@ -127,44 +86,6 @@ class FaultPlan:
         return np.random.default_rng(
             np.random.SeedSequence([int(self.seed), entropy])
         )
-
-    # ------------------------------------------------------------------
-    # Pipeline faults
-    # ------------------------------------------------------------------
-
-    def worker_faults(self, num_shards: int) -> List[WorkerFault]:
-        """Per-shard pipeline faults for a ``num_shards``-shard encode."""
-        if num_shards <= 0:
-            return []
-        rng = self.rng("workers", num_shards)
-        crash_shards: Set[int] = set(
-            rng.choice(
-                num_shards,
-                size=min(self.worker_crashes, num_shards),
-                replace=False,
-            ).tolist()
-        )
-        straggler_shards: Set[int] = set(
-            rng.choice(
-                num_shards,
-                size=min(self.stragglers, num_shards),
-                replace=False,
-            ).tolist()
-        )
-        m = metrics()
-        if m is not None:
-            m.inc("faults.injected.worker_crash", len(crash_shards))
-            m.inc("faults.injected.straggler", len(straggler_shards))
-        return [
-            WorkerFault(
-                shard=shard,
-                crash=shard in crash_shards,
-                delay=(
-                    self.straggler_seconds if shard in straggler_shards else 0.0
-                ),
-            )
-            for shard in range(num_shards)
-        ]
 
     # ------------------------------------------------------------------
     # Cluster faults
@@ -255,63 +176,46 @@ class FaultPlan:
         return events
 
     # ------------------------------------------------------------------
-    # Construction from the environment
+    # Construction from a spec string
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_env(
-        cls, env: Optional[Mapping[str, str]] = None
-    ) -> Optional["FaultPlan"]:
-        """Plan described by ``REPRO_CHAOS``, or None when unset.
-
-        Syntax: ``"<seed>"`` or ``"<seed>:key=value,key=value"`` where
-        keys are the integer fields of :class:`FaultPlan`
-        (``straggler_seconds`` accepts a float).  Junk raises
-        :class:`~repro.errors.ConfigError` loudly -- a chaos switch
-        that silently does nothing would defeat its purpose.
-        """
-        import os
-
-        raw = (env if env is not None else os.environ).get(CHAOS_ENV)
-        if raw is None or raw == "":
-            return None
-        return cls.parse(raw)
-
-    @classmethod
     def parse(cls, raw: str) -> "FaultPlan":
-        """Parse a ``REPRO_CHAOS``-style plan string."""
+        """Parse ``"<seed>"`` or ``"<seed>:key=value,key=value"``.
+
+        This is the plan ``repro chaos`` builds from ``--seed`` and
+        ``--spec``; keys are the integer fields of :class:`FaultPlan`.
+        Junk raises :class:`~repro.errors.ConfigError` loudly -- a
+        chaos switch that silently does nothing would defeat its
+        purpose.
+        """
         head, __, tail = raw.partition(":")
         try:
             seed = int(head)
         except ValueError:
             raise ConfigError(
-                f"{CHAOS_ENV}={raw!r}: expected '<seed>' or "
+                f"fault plan {raw!r}: expected '<seed>' or "
                 f"'<seed>:key=val,...' with an integer seed"
             ) from None
-        allowed = {f.name: f.type for f in fields(cls) if f.name != "seed"}
-        overrides: Dict[str, object] = {}
+        allowed = sorted(f.name for f in fields(cls) if f.name != "seed")
+        overrides: Dict[str, int] = {}
         if tail:
             for pair in tail.split(","):
                 key, sep, value = pair.partition("=")
                 key = key.strip()
                 if not sep or key not in allowed:
                     raise ConfigError(
-                        f"{CHAOS_ENV}={raw!r}: unknown or malformed "
-                        f"override {pair!r}; valid keys: "
-                        f"{', '.join(sorted(allowed))}"
+                        f"--spec {tail!r}: unknown or malformed override "
+                        f"{pair!r}; valid keys: {', '.join(allowed)}"
                     )
                 try:
-                    overrides[key] = (
-                        float(value)
-                        if key == "straggler_seconds"
-                        else int(value)
-                    )
+                    overrides[key] = int(value)
                 except ValueError:
                     raise ConfigError(
-                        f"{CHAOS_ENV}={raw!r}: {key} needs a numeric "
-                        f"value, got {value!r}"
+                        f"--spec {tail!r}: {key} needs an integer value, "
+                        f"got {value!r}"
                     ) from None
-        return cls(seed=seed, **overrides)  # type: ignore[arg-type]
+        return cls(seed=seed, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -372,54 +276,6 @@ def inject_cluster_faults(namenode, plan: FaultPlan) -> List[UnitFault]:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory audit
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ShmAudit:
-    """Names of shared-memory segments created and unlinked in a scope."""
-
-    created: Set[str] = field(default_factory=set)
-    unlinked: Set[str] = field(default_factory=set)
-
-    @property
-    def leaked(self) -> Set[str]:
-        return self.created - self.unlinked
-
-
-@contextmanager
-def track_shared_memory() -> Iterator[ShmAudit]:
-    """Audit every SharedMemory create/unlink inside the ``with`` body.
-
-    Replaces :class:`multiprocessing.shared_memory.SharedMemory` with a
-    recording subclass for the duration; ``audit.leaked`` being empty
-    after the block proves every created segment was unlinked -- on
-    success paths, error paths, and chaos paths alike.
-    """
-    from multiprocessing import shared_memory
-
-    audit = ShmAudit()
-    original = shared_memory.SharedMemory
-
-    class TrackedSharedMemory(original):  # type: ignore[misc, valid-type]
-        def __init__(self, name=None, create=False, size=0):
-            super().__init__(name=name, create=create, size=size)
-            if create:
-                audit.created.add(self.name)
-
-        def unlink(self):
-            audit.unlinked.add(self.name)
-            return super().unlink()
-
-    shared_memory.SharedMemory = TrackedSharedMemory
-    try:
-        yield audit
-    finally:
-        shared_memory.SharedMemory = original
-
-
-# ----------------------------------------------------------------------
 # The end-to-end chaos scenario
 # ----------------------------------------------------------------------
 
@@ -434,11 +290,6 @@ class ChaosReport:
 
     code_name: str
     seed: int
-    #: Pipeline: pooled (chaotic) output byte-identical to serial.
-    pipeline_identical: bool
-    pipeline_retries: int
-    serial_fallback_shards: int
-    shm_leaked: int
     #: Faults injected into the cluster, in order.
     faults: Tuple[UnitFault, ...]
     #: (stripe_id, slot, reason) of every quarantined unit, in order.
@@ -450,11 +301,7 @@ class ChaosReport:
 
     @property
     def clean(self) -> bool:
-        return (
-            self.pipeline_identical
-            and self.data_intact
-            and self.shm_leaked == 0
-        )
+        return self.data_intact
 
 
 def run_chaos_scenario(
@@ -470,11 +317,7 @@ def run_chaos_scenario(
 ) -> ChaosReport:
     """Run the full fault-injection acceptance scenario for one code.
 
-    Stage 1 (pipeline): encode a file through the process pool while the
-    plan crashes a worker; verify the self-healed output is
-    byte-identical to a serial encode and no shared memory leaked.
-
-    Stage 2 (cluster): write and raid the same file, inject the plan's
+    Write and raid a seeded file on a mini-HDFS cluster, inject the plan's
     bit-flips and truncations into stored units, kill one node, then
     run recovery with a mid-wave node flap.  Scrub-and-recover rounds
     repeat until the cluster is clean; the file must read back
@@ -487,7 +330,6 @@ def run_chaos_scenario(
     from repro.cluster.scrubber import Scrubber
     from repro.cluster.topology import Topology
     from repro.codes.registry import create_code
-    from repro.striping.pipeline import encode_file
 
     plan = plan if plan is not None else FaultPlan(seed=seed)
     params = code_params if code_params is not None else {"k": 4, "r": 2}
@@ -495,25 +337,7 @@ def run_chaos_scenario(
         0, 256, size=file_bytes, dtype=np.uint8
     )
 
-    # -- Stage 1: self-healing pipeline under worker chaos -------------
-    with track_shared_memory() as audit:
-        chaotic = encode_file(
-            create_code(code_name, **params),
-            data,
-            block_size,
-            parallel=True,
-            fault_plan=plan,
-        )
-    serial = encode_file(
-        create_code(code_name, **params), data, block_size, parallel=False
-    )
-    pipeline_identical = len(chaotic.parities) == len(serial.parities) and all(
-        np.array_equal(a.payload, b.payload)
-        for row_a, row_b in zip(chaotic.parities, serial.parities)
-        for a, b in zip(row_a, row_b)
-    )
-
-    # -- Stage 2: cluster with corruption, a dead node, and a flap -----
+    # Cluster with corruption, a dead node, and a flap.
     topology = Topology(num_racks=num_racks, nodes_per_rack=nodes_per_rack)
     namenode = NameNode(topology, DistinctRackPlacement(topology, seed=seed))
     code = create_code(code_name, **params)
@@ -584,10 +408,6 @@ def run_chaos_scenario(
     return ChaosReport(
         code_name=code_name,
         seed=plan.seed,
-        pipeline_identical=bool(pipeline_identical),
-        pipeline_retries=chaotic.retries,
-        serial_fallback_shards=chaotic.serial_fallback_shards,
-        shm_leaked=len(audit.leaked),
         faults=tuple(faults),
         quarantined=tuple(
             (record.stripe_id, record.slot, record.reason)

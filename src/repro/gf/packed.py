@@ -104,7 +104,7 @@ class PackedMatmul:
         """Pickle without the backend handle (and its C pointers).
 
         The plan rehydrates against whatever backend the *receiving*
-        process selects -- a pool worker may not share the parent's
+        process selects -- a worker process may not share the parent's
         tiers.  Packed tables travel if already built; otherwise they
         rebuild lazily on first fallback use.
         """

@@ -43,7 +43,7 @@ Hot-path idiom::
     if m is not None:
         m.inc("codec.encode.stripes", len(layouts))
 
-The registry is process-local: pipeline pool workers and sweep
+The registry is process-local: sweep and sharded-simulator worker
 subprocesses each have their own (discarded with the process); the
 parent's counters cover everything the parent itself did, which is what
 the snapshot documents.

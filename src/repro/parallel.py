@@ -1,12 +1,14 @@
 """Shared process-parallelism policy.
 
-The file pipeline (:mod:`repro.striping.pipeline`) and the experiment
-sweep runner (:mod:`repro.cluster.sweep`) make the same decision --
-"should this work shard across a process pool?" -- under the same
-conventions: an explicit ``parallel=`` argument wins, the
-``REPRO_PARALLEL`` environment variable can force serial execution, and
-single-task or single-CPU situations never spawn.  This module is the
-one implementation both import, so the conventions cannot drift.
+The experiment sweep runner (:mod:`repro.cluster.sweep`) and the
+sharded simulator's shard workers (:mod:`repro.cluster.shard`) make the
+same decision -- "should this work shard across worker processes?" --
+under the same conventions: an explicit ``parallel=`` argument wins,
+the ``REPRO_PARALLEL`` environment variable can force serial execution,
+and single-task or single-CPU situations never spawn.  This module is
+the one implementation both import, so the conventions cannot drift.
+(The file data path in :mod:`repro.striping.pipeline` always runs
+in-process and does not consult it.)
 
 ``REPRO_PARALLEL`` accepts exactly ``"1"`` (allow pools, the default)
 and ``"0"`` (force serial).  Anything else -- ``off``, ``no``,

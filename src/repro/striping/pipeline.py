@@ -1,61 +1,33 @@
-"""Shared-memory file-encode pipeline with self-healing workers.
+"""In-process file data path: encode, repair and degraded read.
 
-Raiding a cold file (Section 2.1) is embarrassingly parallel across
-stripes, but a naive process pool would pickle every 256 MiB of block
-payload through the task queue and lose more than it gains.  This module
-shards the stripes of one file across a :class:`ProcessPoolExecutor`
-while keeping **all payload bytes in two** ``multiprocessing.shared_memory``
-**segments** -- one holding the file, one receiving the parities.  The
-only things pickled are the (tiny) shard descriptors: shm names, the
-code object (fresh, empty caches), and stripe index ranges.
+Raiding a cold file (Section 2.1) computes each stripe's parities;
+recovering a lost block (Section 3) rebuilds one shard from its
+survivors.  Every entry point here runs in the calling process over the
+codes' fused batch kernels:
 
-Workers rebuild their stripe layouts deterministically from the shared
-file bytes (``chunk_bytes`` + ``group_into_stripes`` are pure functions
-of the byte count), encode their contiguous stripe range through
-:meth:`StripeCodec.encode_stripes` -- hitting the zero-copy ``(s, k, w)``
-fast path directly on the shared segment -- and write parity units to
-fixed per-stripe offsets.  Results are therefore byte-identical and
-identically ordered whether the pipeline runs serial or parallel, with
-any worker count -- **and under any fault schedule**: shard writes are
-idempotent (fixed offsets, full overwrite), so a shard can be retried
-any number of times without affecting the output.
+- :func:`encode_file` -- chunk an in-memory file into blocks and encode
+  every stripe through :meth:`StripeCodec.encode_stripes`, whose full
+  stripes take the zero-copy ``(s, k, w)`` fast path;
+- :func:`encode_stream` -- the same parities with reads, encodes and
+  writes overlapped on three threads;
+- :func:`repair_file` -- rebuild one failed shard of an in-memory file
+  through one :class:`CompiledFileRepair`;
+- :func:`repair_stream` / :func:`decode_file` -- streamed repair and
+  degraded read over survivor shard streams.
 
-Self-healing: each shard is an independently-tracked future with a
-progress timeout.  A worker death (``BrokenProcessPool``) or a stalled
-pool triggers a bounded retry with backoff on a fresh pool; after
-:data:`MAX_POOL_DEATHS` pool losses the remaining shards are encoded
-serially in-process, so ``encode_file`` returns correct bytes even when
-every worker the OS gives us dies.  Both shared-memory segments are
-unlinked on every exit path.  Worker-side Python errors are wrapped in
-:class:`~repro.errors.PipelineError` naming the shard and stripe range
--- they indicate a real bug, not an infrastructure fault, and are
-raised rather than retried.
-
-Fault injection: pass a :class:`~repro.faults.FaultPlan` (or set
-``REPRO_CHAOS`` -- see :meth:`~repro.faults.FaultPlan.from_env`) and
-the plan's worker crashes (real ``os._exit`` in the pool process) and
-straggler delays are injected into the shard schedule.  Because the
-pipeline self-heals, chaotic output remains byte-identical to serial
-output; the chaos tests assert exactly that.
-
-Conventions match :mod:`repro.cluster.sweep` via the shared
-:func:`repro.parallel.decide_parallel`: ``REPRO_PARALLEL=0`` forces
-serial execution (junk values are rejected loudly), auto-detection
-declines to spawn on single-CPU hosts, and sandboxes that refuse
-process spawning or shared memory degrade to the serial path instead
-of failing.
+All paths produce byte-identical output for the same bytes.  Checksummed
+repairs verify every rebuilt unit and quarantine corrupt survivors
+before retrying, so a bad survivor surfaces as a quarantine record or a
+:class:`~repro.errors.CorruptionError`, never as wrong bytes.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import queue
 import threading
 import time as time_module
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -76,23 +48,25 @@ from repro.errors import (
     PipelineError,
     RepairError,
 )
-from repro.faults import FaultPlan
-from repro.observability import get_logger, metrics, span
-from repro.parallel import decide_parallel as _decide_parallel
+from repro.observability import metrics, span
 from repro.striping.blocks import Block, LogicalFile, chunk_bytes
 from repro.striping.checksum import crc32c, crc32c_batch
 from repro.striping.codec import StripeCodec
 from repro.striping.layout import StripeLayout, group_into_stripes
 
-#: Pool losses tolerated before the remaining shards go serial.
-MAX_POOL_DEATHS = 2
 
-#: Default per-wait progress timeout (seconds).  Generous: it only
-#: exists to unstick a genuinely hung pool, not to police slow shards.
-DEFAULT_PROGRESS_TIMEOUT = 300.0
+def _reject_pool(parallel: Optional[bool]) -> None:
+    """Refuse ``parallel=True``: the file pipeline has no process pool.
 
-#: Backoff base between pool restarts (seconds, doubled per death).
-RETRY_BACKOFF_SECONDS = 0.05
+    ``None`` and ``False`` are accepted so callers written against the
+    pooled pipeline keep working; both mean "in-process", the only mode.
+    """
+    if parallel:
+        raise PipelineError(
+            "parallel=True is no longer supported: the file pipeline's "
+            "process pool was removed; encode_file and repair_file always "
+            "run in-process"
+        )
 
 
 def _data_slot_lists(
@@ -120,143 +94,26 @@ class EncodeResult:
     Attributes
     ----------
     file:
-        The chunked logical file (blocks are views into the caller's
-        data in serial mode, or into a private copy in parallel mode).
+        The chunked logical file; its blocks are views into the
+        caller's data.
     layouts:
         One :class:`StripeLayout` per stripe, in file order.
     parities:
         ``parities[t]`` holds stripe ``t``'s ``r`` parity blocks.
-    parallel_used, shards:
-        Whether a process pool actually ran, and with how many shards
-        (1 when serial) -- observability for the determinism tests and
-        the benchmark harness.
-    retries:
-        Shard attempts lost to injected worker crashes (each is retried
-        on a fresh pool), a function of the fault plan alone; pool
-        rebuilds and stalls are counted by the ``pipeline.*`` metrics.
-    serial_fallback_shards:
-        Shards that were ultimately encoded in-process after the pool
-        died :data:`MAX_POOL_DEATHS` times.
     """
 
     file: LogicalFile
     layouts: List[StripeLayout]
     parities: List[List[Block]]
-    parallel_used: bool
-    shards: int
-    retries: int = 0
-    serial_fallback_shards: int = 0
+
+    @property
+    def parallel_used(self) -> bool:
+        """Always False: encoding runs in-process (kept for old callers)."""
+        return False
 
     @property
     def parity_bytes(self) -> int:
         return sum(p.size for row in self.parities for p in row)
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one worker needs to encode stripes [start, stop)."""
-
-    shard: int
-    in_name: str
-    out_name: str
-    code_blob: bytes
-    file_name: str
-    file_size: int
-    block_size: int
-    start: int
-    stop: int
-    out_offsets: Tuple[int, ...]
-    #: Chaos: crash (os._exit) while ``attempt < crash_attempts``.
-    crash: bool = False
-    crash_attempts: int = 0
-    #: Chaos: straggler delay before encoding, in seconds.
-    delay: float = 0.0
-
-
-def _attach_worker_shm(in_name: str, out_name: str):
-    """Attach a worker to the parent's two shared-memory segments.
-
-    The parent owns both segments.  Under "spawn" each worker has its
-    own resource tracker, which would try to reclaim them at worker
-    exit -- undo the attach-time registration.  Under "fork" the
-    tracker process is shared with the parent and its name cache is a
-    set, so unregistering here would strip the parent's own entry;
-    leave it alone.
-    """
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm_in = shared_memory.SharedMemory(name=in_name)
-    shm_out = shared_memory.SharedMemory(name=out_name)
-    if multiprocessing.get_start_method(allow_none=True) != "fork":
-        for shm in (shm_in, shm_out):
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-            except (KeyError, ValueError, AttributeError):
-                # Unknown name / already unregistered / tracker API
-                # drift: the registration we are undoing is gone,
-                # which is the state we wanted.
-                pass
-    return shm_in, shm_out
-
-
-def _worker_encode_shard(task: _ShardTask, attempt: int = 0) -> int:
-    """Encode one shard of the shared file (module-level so it pickles).
-
-    Returns the shard index as a bare acknowledgement -- no payload
-    bytes ever cross the task queue.  Output writes are idempotent
-    (fixed offsets, full overwrite), so any attempt may be retried.
-    """
-    if task.crash and attempt < task.crash_attempts:
-        # Injected chaos: die the way a real worker dies -- no cleanup,
-        # no exception, the parent just sees a broken pool.
-        os._exit(17)
-    if task.delay > 0:
-        time_module.sleep(task.delay)
-
-    shm_in, shm_out = _attach_worker_shm(task.in_name, task.out_name)
-    try:
-        try:
-            code: ErasureCode = pickle.loads(task.code_blob)
-            codec = StripeCodec(code)
-            data = np.ndarray(
-                (task.file_size,), dtype=np.uint8, buffer=shm_in.buf
-            )
-            file = chunk_bytes(task.file_name, data, block_size=task.block_size)
-            layouts = group_into_stripes(
-                file.blocks,
-                code.k,
-                code.r,
-                stripe_prefix=f"{task.file_name}/stripe",
-            )
-            slot_lists = _data_slot_lists(layouts, file.blocks)
-            parities = codec.encode_stripes(
-                layouts[task.start : task.stop],
-                slot_lists[task.start : task.stop],
-            )
-            out = np.ndarray(
-                (shm_out.size,), dtype=np.uint8, buffer=shm_out.buf
-            )
-            for layout, offset, parity_blocks in zip(
-                layouts[task.start : task.stop], task.out_offsets, parities
-            ):
-                width = codec.padded_width(layout)
-                for j, parity in enumerate(parity_blocks):
-                    out[offset + j * width : offset + (j + 1) * width] = (
-                        parity.payload
-                    )
-        except Exception as exc:
-            # A worker-side Python error is a real bug in the encode
-            # path, not an infrastructure fault; surface it with the
-            # shard context instead of a bare pickled traceback.
-            raise PipelineError(
-                f"shard {task.shard} (stripes {task.start}..{task.stop}) "
-                f"failed on the worker: {type(exc).__name__}: {exc}"
-            ) from exc
-    finally:
-        shm_in.close()
-        shm_out.close()
-    return task.shard
 
 
 def encode_file(
@@ -266,409 +123,34 @@ def encode_file(
     *,
     name: str = "file",
     parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    progress_timeout: float = DEFAULT_PROGRESS_TIMEOUT,
 ) -> EncodeResult:
     """Chunk ``data`` into blocks and compute every stripe's parities.
 
-    Serial mode encodes in-process through the codec's fused batch path
-    (zero staging copies for the full stripes).  Parallel mode shards
-    the stripes over a process pool with payloads in shared memory,
-    retrying dead or stalled pools and falling back to in-process
-    encoding if the pool keeps dying.  Both modes return byte-identical
-    parities in file order.
-
-    ``fault_plan`` injects worker crashes and straggler delays into the
-    pooled path (``None`` consults ``REPRO_CHAOS``); the self-healing
-    machinery must still produce identical bytes.  ``progress_timeout``
-    bounds how long a wave may go without any shard completing before
-    the pool is declared stuck.
+    Encodes in-process through the codec's fused batch path (zero
+    staging copies for the full stripes) and returns the parities in
+    file order.  ``parallel`` accepts only ``None`` or ``False``;
+    ``True`` raises :class:`~repro.errors.PipelineError`.
     """
+    _reject_pool(parallel)
     if block_size <= 0:
         raise EncodingError(f"block size must be positive, got {block_size}")
-    if progress_timeout <= 0:
-        raise EncodingError(
-            f"progress timeout must be positive, got {progress_timeout}"
-        )
     data = np.ascontiguousarray(
         np.asarray(data, dtype=np.uint8).reshape(-1)
     )
     with span("pipeline.encode_file"):
-        result = _encode_file_impl(
-            code,
-            data,
-            block_size,
-            name,
-            parallel,
-            max_workers,
-            fault_plan,
-            progress_timeout,
+        file = chunk_bytes(name, data, block_size=block_size)
+        layouts = group_into_stripes(
+            file.blocks, code.k, code.r, stripe_prefix=f"{name}/stripe"
+        )
+        parities = StripeCodec(code).encode_stripes(
+            layouts, _data_slot_lists(layouts, file.blocks)
         )
     m = metrics()
     if m is not None:
         m.inc("pipeline.files")
         m.inc("pipeline.data_bytes", int(data.size))
-        m.inc("pipeline.stripes", len(result.layouts))
-        m.inc("pipeline.shards", result.shards)
-        m.inc("pipeline.retries", result.retries)
-        m.inc(
-            "pipeline.serial_fallback_shards", result.serial_fallback_shards
-        )
-        m.inc(
-            "pipeline.parallel_runs"
-            if result.parallel_used
-            else "pipeline.serial_runs"
-        )
-    return result
-
-
-def _encode_file_impl(
-    code: ErasureCode,
-    data: np.ndarray,
-    block_size: int,
-    name: str,
-    parallel: Optional[bool],
-    max_workers: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    progress_timeout: float,
-) -> EncodeResult:
-    file = chunk_bytes(name, data, block_size=block_size)
-    layouts = group_into_stripes(
-        file.blocks, code.k, code.r, stripe_prefix=f"{name}/stripe"
-    )
-    slot_lists = _data_slot_lists(layouts, file.blocks)
-    stripes = len(layouts)
-    if not _decide_parallel(stripes, parallel):
-        codec = StripeCodec(code)
-        parities = codec.encode_stripes(layouts, slot_lists)
-        return EncodeResult(file, layouts, parities, False, 1)
-    if fault_plan is None:
-        fault_plan = FaultPlan.from_env()
-    result = _encode_file_pooled(
-        code,
-        data,
-        block_size,
-        name,
-        file,
-        layouts,
-        max_workers,
-        fault_plan,
-        progress_timeout,
-    )
-    if result is not None:
-        return result
-    # Pool or shared memory unavailable: degrade to serial.
-    get_logger("repro.pipeline").warning(
-        "pool-unavailable-serial-fallback", file=name, stripes=stripes
-    )
-    codec = StripeCodec(code)
-    parities = codec.encode_stripes(layouts, slot_lists)
-    return EncodeResult(file, layouts, parities, False, 1)
-
-
-def _encode_shard_serially(
-    task: _ShardTask,
-    code: ErasureCode,
-    layouts: List[StripeLayout],
-    slot_lists: List[List[Optional[Block]]],
-    out: np.ndarray,
-) -> None:
-    """In-process fallback: encode one shard into the output buffer.
-
-    Uses the parent's already-chunked layouts/blocks and the same fixed
-    offsets a worker would have written, so the result is
-    indistinguishable from a pooled shard.
-    """
-    codec = StripeCodec(code)
-    parities = codec.encode_stripes(
-        layouts[task.start : task.stop], slot_lists[task.start : task.stop]
-    )
-    for layout, offset, parity_blocks in zip(
-        layouts[task.start : task.stop], task.out_offsets, parities
-    ):
-        width = codec.padded_width(layout)
-        for j, parity in enumerate(parity_blocks):
-            out[offset + j * width : offset + (j + 1) * width] = parity.payload
-
-
-def _encode_file_pooled(
-    code: ErasureCode,
-    data: np.ndarray,
-    block_size: int,
-    name: str,
-    file: LogicalFile,
-    layouts: List[StripeLayout],
-    max_workers: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    progress_timeout: float,
-) -> Optional[EncodeResult]:
-    """Self-healing process-pool encode; None when this host cannot
-    run a pool at all (no shared memory / no process spawning)."""
-    from multiprocessing import shared_memory
-
-    codec = StripeCodec(code)
-    widths = [codec.padded_width(layout) for layout in layouts]
-    offsets = np.concatenate(
-        ([0], np.cumsum([code.r * width for width in widths]))
-    ).astype(np.int64)
-    out_total = int(offsets[-1])
-    stripes = len(layouts)
-    workers = max_workers or min(stripes, os.cpu_count() or 1)
-    workers = max(1, min(workers, stripes))
-    bounds = np.linspace(0, stripes, workers + 1).astype(int)
-    code_blob = pickle.dumps(code)  # __getstate__ drops memoised caches
-    shm_in = shm_out = None
-    retries = 0
-    serial_fallback_shards = 0
-    try:
-        shm_in = shared_memory.SharedMemory(
-            create=True, size=max(1, data.size)
-        )
-        shm_out = shared_memory.SharedMemory(
-            create=True, size=max(1, out_total)
-        )
-        m = metrics()
-        if m is not None:
-            m.inc("pipeline.shm_created", 2)
-            m.inc(
-                "pipeline.shm_bytes", max(1, data.size) + max(1, out_total)
-            )
-        np.ndarray((data.size,), dtype=np.uint8, buffer=shm_in.buf)[:] = data
-        spans = [
-            (int(bounds[w]), int(bounds[w + 1]))
-            for w in range(workers)
-            if int(bounds[w]) < int(bounds[w + 1])
-        ]
-        shard_faults = (
-            fault_plan.worker_faults(len(spans))
-            if fault_plan is not None
-            else None
-        )
-        tasks = []
-        for shard, (start, stop) in enumerate(spans):
-            fault = shard_faults[shard] if shard_faults is not None else None
-            tasks.append(
-                _ShardTask(
-                    shard=shard,
-                    in_name=shm_in.name,
-                    out_name=shm_out.name,
-                    code_blob=code_blob,
-                    file_name=name,
-                    file_size=int(data.size),
-                    block_size=block_size,
-                    start=start,
-                    stop=stop,
-                    out_offsets=tuple(
-                        int(offsets[t]) for t in range(start, stop)
-                    ),
-                    crash=fault.crash if fault is not None else False,
-                    crash_attempts=(
-                        fault_plan.crash_attempts
-                        if fault is not None and fault.crash
-                        else 0
-                    ),
-                    delay=fault.delay if fault is not None else 0.0,
-                )
-            )
-        serial_state: Dict[str, object] = {}
-
-        def _encode_serially(task: _ShardTask) -> int:
-            if not serial_state:
-                serial_state["slots"] = _data_slot_lists(layouts, file.blocks)
-                serial_state["out"] = np.ndarray(
-                    (shm_out.size,), dtype=np.uint8, buffer=shm_out.buf
-                )
-            _encode_shard_serially(
-                task,
-                code,
-                layouts,
-                serial_state["slots"],  # type: ignore[arg-type]
-                serial_state["out"],  # type: ignore[arg-type]
-            )
-            return task.shard
-
-        try:
-            retries, serial_fallback_shards, _ = _run_shards_self_healing(
-                tasks, _worker_encode_shard, _encode_serially, progress_timeout
-            )
-        except (OSError, PermissionError, ImportError):
-            return None
-        parity_bytes = np.ndarray(
-            (out_total,), dtype=np.uint8, buffer=shm_out.buf
-        ).copy()
-    except (OSError, PermissionError, ImportError):
-        return None
-    finally:
-        m = metrics()
-        for shm in (shm_in, shm_out):
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except (OSError, FileNotFoundError):
-                    pass
-                else:
-                    if m is not None:
-                        m.inc("pipeline.shm_unlinked")
-    parities: List[List[Block]] = []
-    for t, layout in enumerate(layouts):
-        width = widths[t]
-        row = []
-        for j in range(code.r):
-            lo = int(offsets[t]) + j * width
-            row.append(
-                Block(
-                    block_id=layout.parity_block_ids[j],
-                    size=width,
-                    payload=parity_bytes[lo : lo + width],
-                )
-            )
-        parities.append(row)
-    return EncodeResult(
-        file,
-        layouts,
-        parities,
-        True,
-        len(tasks),
-        retries=retries,
-        serial_fallback_shards=serial_fallback_shards,
-    )
-
-
-def _run_shards_self_healing(
-    tasks: Sequence,
-    worker_fn: Callable,
-    serial_fn: Callable,
-    progress_timeout: float,
-) -> Tuple[int, int, Dict[int, object]]:
-    """Run every shard to completion, surviving pool deaths and stalls.
-
-    Task-agnostic: ``worker_fn(task, attempt)`` runs in the pool and
-    ``serial_fn(task)`` is the in-process fallback once the pool has
-    died :data:`MAX_POOL_DEATHS` times; both encode and repair shards
-    ride the same machinery.  Tasks need only a ``shard`` attribute
-    (encode tasks also carry their injected ``crash`` schedule).
-
-    Returns ``(retries, serial_fallback_shards, results)`` where
-    ``retries`` counts consumed injected crashes and ``results`` maps
-    shard index to the worker's (or fallback's) return value.  Raises
-    :class:`PipelineError` for worker-side Python errors (bugs are not
-    retried) and propagates pool-creation failures to the caller's
-    degrade-to-serial handling.
-    """
-    pending: Dict[int, int] = {task.shard: 0 for task in tasks}  # shard -> attempt
-    by_shard = {task.shard: task for task in tasks}
-    results: Dict[int, object] = {}
-    retries = 0
-    pool_deaths = 0
-    pool: Optional[ProcessPoolExecutor] = None
-    futures: Dict[object, int] = {}
-    submit_times: Dict[object, float] = {}
-    m = metrics()
-
-    def _restart_pool() -> None:
-        """Kill the pool; every still-pending shard is resubmitted.
-
-        ``retries`` counts the injected crashes this restart consumes
-        (pending shards whose current attempt is scheduled to crash),
-        not the shards still pending: how many siblings finished before
-        the pool death was noticed depends on scheduling, the fault
-        plan's crashes do not.
-        """
-        nonlocal pool, pool_deaths, retries
-        assert pool is not None
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = None
-        futures.clear()
-        submit_times.clear()
-        pool_deaths += 1
-        for shard in pending:
-            task = by_shard[shard]
-            if getattr(task, "crash", False) and (
-                pending[shard] < task.crash_attempts
-            ):
-                retries += 1
-            pending[shard] += 1
-        if m is not None:
-            m.inc("pipeline.pool_rebuilds")
-            m.inc("pipeline.shard_retries", len(pending))
-        time_module.sleep(RETRY_BACKOFF_SECONDS * (2 ** (pool_deaths - 1)))
-
-    try:
-        while pending:
-            if pool_deaths >= MAX_POOL_DEATHS:
-                # The pool has died repeatedly: stop trusting workers
-                # and finish the remaining shards in-process.  Shard
-                # writes are idempotent, so partially-encoded shards
-                # are simply overwritten.
-                get_logger("repro.pipeline").warning(
-                    "pool-deaths-exhausted-serial-fallback",
-                    pool_deaths=pool_deaths,
-                    remaining_shards=len(pending),
-                )
-                for shard in sorted(pending):
-                    results[shard] = serial_fn(by_shard[shard])
-                serial_count = len(pending)
-                pending.clear()
-                return retries, serial_count, results
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=len(pending))
-                futures = {
-                    pool.submit(worker_fn, by_shard[shard], attempt): shard
-                    for shard, attempt in sorted(pending.items())
-                }
-                if m is not None:
-                    now = time_module.perf_counter()
-                    for future in futures:
-                        submit_times[future] = now
-            done, __ = wait(
-                futures, timeout=progress_timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # No shard finished inside the window: the pool is
-                # stuck.  Kill it and retry what is left.
-                if m is not None:
-                    m.inc("pipeline.pool_stalls")
-                get_logger("repro.pipeline").warning(
-                    "pool-stalled",
-                    timeout_seconds=progress_timeout,
-                    pending_shards=len(pending),
-                )
-                _restart_pool()
-                continue
-            broken = False
-            for future in done:
-                shard = futures.pop(future)
-                error = future.exception()
-                if error is None:
-                    pending.pop(shard, None)
-                    results[shard] = future.result()
-                    if m is not None:
-                        started = submit_times.pop(future, None)
-                        if started is not None:
-                            m.observe(
-                                "pipeline.shard_seconds",
-                                time_module.perf_counter() - started,
-                            )
-                elif isinstance(error, PipelineError):
-                    raise error
-                elif isinstance(error, BrokenProcessPool):
-                    broken = True
-                else:
-                    raise PipelineError(
-                        f"shard {shard} failed in the pool: "
-                        f"{type(error).__name__}: {error}"
-                    ) from error
-            if broken:
-                # A worker died; every sibling future on this pool is
-                # (or will be) broken too.  Restart from scratch with
-                # whatever is still pending.
-                _restart_pool()
-        return retries, 0, results
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        m.inc("pipeline.stripes", len(layouts))
+    return EncodeResult(file, layouts, parities)
 
 
 # ----------------------------------------------------------------------
@@ -1009,8 +491,8 @@ def encode_stream(
 #
 # - ``repair_stream``   -- reader || rebuild || writer over survivor
 #                          shard streams, mirroring ``encode_stream``;
-# - ``repair_file``     -- whole-file repair of in-memory shards,
-#                          serial or over the self-healing process pool;
+# - ``repair_file``     -- whole-file repair of in-memory shards
+#                          through one :class:`CompiledFileRepair`;
 # - ``decode_file``     -- streaming degraded read: recover the original
 #                          file bytes from any >= k surviving shards.
 #
@@ -1049,9 +531,8 @@ def _shared_zero_unit(width: int) -> np.ndarray:
 class _ShardGeometry:
     """Stored-shard geometry of one striped file, from metadata alone.
 
-    Shard layout is a pure function of ``(name, file_size, block_size)``
-    -- the same determinism the pooled encoder exploits -- so repair
-    and degraded read can slice survivor shards without ever seeing the
+    Shard layout is a pure function of ``(name, file_size, block_size)``,
+    so repair and degraded read can slice survivor shards without ever seeing the
     original file bytes.  A *shard* here is one stripe slot's stored
     bytes across every stripe of the file, back to back: data slots
     store their logical (untrimmed-but-unpadded) block bytes, parity
@@ -1140,8 +621,8 @@ class _ShardGeometry:
 class _StripeRebuilder:
     """Rebuilds one failed slot stripe by stripe, with integrity checks.
 
-    The shared core of :func:`repair_stream`,
-    :class:`CompiledFileRepair` and the pooled repair workers.  Uniform
+    The shared core of :func:`repair_stream` and
+    :class:`CompiledFileRepair`.  Uniform
     full-width runs go through the code's fused batch executors (one
     native call per survivor wave), ragged tail stripes through the
     same executors at one stripe; only checksum quarantine retries use
@@ -2027,7 +1508,7 @@ def decode_file(
 
 
 # ----------------------------------------------------------------------
-# Whole-file repair: compiled plans, serial or pooled
+# Whole-file repair: one compiled plan, run in-process
 # ----------------------------------------------------------------------
 
 
@@ -2043,17 +1524,17 @@ class CompiledRepairStats:
 
 
 class CompiledFileRepair:
-    """A whole-file repair compiled to pre-bound native kernel waves.
+    """A whole-file repair compiled to one pre-bound native kernel wave.
 
     For a degraded file whose survivor shards are already in memory,
-    every uniform full-width wave is bound once to the shard buffers
-    via :meth:`~repro.codes.base.ErasureCode.bind_repair_batch`;
-    :meth:`run` then replays the waves as single native calls over the
-    *current* shard contents, plus the same compiled kernel at one
-    stripe for the ragged tail.  Compile once, run per repair: steady
-    state is exactly the fused kernels with no per-stripe Python work.
-    This is the shape the repair benchmarks measure, and the pooled
-    parallel path ships per-stripe-range instances of it to the workers.
+    the leading run of uniform full-width stripes is bound once to the
+    shard buffers via
+    :meth:`~repro.codes.base.ErasureCode.bind_repair_batch`; :meth:`run`
+    then replays that wave as a single native call over the *current*
+    shard contents, plus the same compiled kernel at one stripe for the
+    ragged tail.  Compile once, run per repair: steady state is exactly
+    the fused kernels with no per-stripe Python work.
+    :func:`repair_file` and the repair benchmarks both run this class.
 
     When a shard's stored row width differs from the padded stripe
     width (block sizes not divisible by the code's unit alignment), the
@@ -2071,23 +1552,11 @@ class CompiledFileRepair:
         *,
         name: str = "file",
         checksums: Optional[Mapping[int, Sequence[int]]] = None,
-        wave_stripes: Optional[int] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-        out: Optional[np.ndarray] = None,
     ):
         self.code = code
         self.geometry = _ShardGeometry(code, name, file_size, block_size)
         geometry = self.geometry
         self.failed_slot = code.validate_node_index(failed_slot)
-        stop = geometry.stripes if stop is None else int(stop)
-        if not 0 <= start <= stop <= geometry.stripes:
-            raise RepairError(
-                f"stripe range [{start}, {stop}) outside file of "
-                f"{geometry.stripes} stripes"
-            )
-        self.start = int(start)
-        self.stop = stop
         self.shard_views: Dict[int, np.ndarray] = {}
         for slot, shard in sorted(shards.items()):
             slot = int(slot)
@@ -2111,72 +1580,47 @@ class CompiledFileRepair:
         self.rebuilder = _StripeRebuilder(
             code, geometry, failed_slot, self.shard_views.keys(), checksums
         )
-        offsets = geometry.shard_offsets(self.failed_slot)
-        self.out_size = offsets[self.stop] - offsets[self.start]
-        if out is None:
-            out = np.empty(self.out_size, dtype=np.uint8)
-        else:
-            out = out.reshape(-1).view(np.uint8)
-            if out.size != self.out_size:
-                raise RepairError(
-                    f"output buffer holds {out.size} bytes, expected "
-                    f"{self.out_size}"
-                )
-        self.out = out
-        self._compile(wave_stripes)
+        self.out_size = geometry.shard_size(self.failed_slot)
+        self.out = np.empty(self.out_size, dtype=np.uint8)
+        self._compile()
 
-    def _compile(self, wave_stripes: Optional[int]) -> None:
+    def _compile(self) -> None:
         geometry = self.geometry
         failed = self.failed_slot
-        uniform_stop = min(self.stop, geometry.uniform_stripes)
-        self._waves: List[Tuple] = []
+        stripes = geometry.uniform_stripes
+        self._wave: Optional[Tuple] = None
         self._tail: List[int] = [
             t
-            for t in range(max(self.start, uniform_stop), self.stop)
+            for t in range(stripes, geometry.stripes)
             if not geometry.is_virtual(t, failed)
         ]
-        if uniform_stop <= self.start:
+        if stripes == 0:
             return
         width = geometry.max_width
-        run = uniform_stop - self.start
-        wave = run if wave_stripes is None else max(1, int(wave_stripes))
-        out_offsets = geometry.shard_offsets(failed)
-        failed_stored = geometry.stored_size(self.start, failed)
-        for w0 in range(self.start, uniform_stop, wave):
-            w1 = min(w0 + wave, uniform_stop)
-            stripes = w1 - w0
-            rows_by_slot: Dict[int, List[np.ndarray]] = {}
-            refreshes: List[Tuple[np.ndarray, np.ndarray]] = []
-            for slot, view in self.shard_views.items():
-                stored = geometry.stored_size(w0, slot)
-                lo = geometry.shard_offsets(slot)[w0]
-                if stored == width:
-                    rows_by_slot[slot] = [
-                        view[lo + i * width : lo + (i + 1) * width]
-                        for i in range(stripes)
-                    ]
-                else:
-                    staging = np.zeros((stripes, width), dtype=np.uint8)
-                    source = view[lo : lo + stripes * stored].reshape(
-                        stripes, stored
-                    )
-                    refreshes.append((staging[:, :stored], source))
-                    rows_by_slot[slot] = [staging[i] for i in range(stripes)]
-            out_lo = out_offsets[w0] - out_offsets[self.start]
-            writeback = None
-            if failed_stored == width:
-                out_matrix = self.out[
-                    out_lo : out_lo + stripes * width
-                ].reshape(stripes, width)
+        rows_by_slot: Dict[int, List[np.ndarray]] = {}
+        refreshes: List[Tuple[np.ndarray, np.ndarray]] = []
+        for slot, view in self.shard_views.items():
+            stored = geometry.stored_size(0, slot)
+            if stored == width:
+                rows_by_slot[slot] = [
+                    view[i * width : (i + 1) * width] for i in range(stripes)
+                ]
             else:
-                out_matrix = np.empty((stripes, width), dtype=np.uint8)
-                writeback = self.out[
-                    out_lo : out_lo + stripes * failed_stored
-                ].reshape(stripes, failed_stored)
-            executor = self.rebuilder.bind_uniform(rows_by_slot, out_matrix)
-            self._waves.append(
-                (w0, rows_by_slot, out_matrix, executor, refreshes, writeback)
+                staging = np.zeros((stripes, width), dtype=np.uint8)
+                source = view[: stripes * stored].reshape(stripes, stored)
+                refreshes.append((staging[:, :stored], source))
+                rows_by_slot[slot] = [staging[i] for i in range(stripes)]
+        failed_stored = geometry.stored_size(0, failed)
+        writeback = None
+        if failed_stored == width:
+            out_matrix = self.out[: stripes * width].reshape(stripes, width)
+        else:
+            out_matrix = np.empty((stripes, width), dtype=np.uint8)
+            writeback = self.out[: stripes * failed_stored].reshape(
+                stripes, failed_stored
             )
+        executor = self.rebuilder.bind_uniform(rows_by_slot, out_matrix)
+        self._wave = (rows_by_slot, out_matrix, executor, refreshes, writeback)
 
     def run(self) -> CompiledRepairStats:
         """Execute the compiled repair against current shard contents."""
@@ -2184,19 +1628,19 @@ class CompiledFileRepair:
         rebuilder.reset()
         geometry = self.geometry
         failed = self.failed_slot
-        m = metrics()
-        for w0, rows_by_slot, out_matrix, executor, refreshes, writeback in (
-            self._waves
-        ):
+        if self._wave is not None:
+            rows_by_slot, out_matrix, executor, refreshes, writeback = (
+                self._wave
+            )
             for staging, source in refreshes:
                 staging[:] = source
-            rebuilder.repair_uniform_run(w0, rows_by_slot, out_matrix, executor)
+            rebuilder.repair_uniform_run(0, rows_by_slot, out_matrix, executor)
             if writeback is not None:
                 writeback[:] = out_matrix[:, : writeback.shape[1]]
+            m = metrics()
             if m is not None:
                 m.inc("pipeline.repair.compiled_waves")
         out_offsets = geometry.shard_offsets(failed)
-        base = out_offsets[self.start]
         for t in self._tail:
             units = {}
             for slot, view in self.shard_views.items():
@@ -2213,29 +1657,15 @@ class CompiledFileRepair:
                     units[slot] = row
             rebuilt = rebuilder.repair_stripe(t, units)
             size = geometry.stored_size(t, failed)
-            lo = out_offsets[t] - base
+            lo = out_offsets[t]
             self.out[lo : lo + size] = rebuilt[:size]
         return CompiledRepairStats(
-            stripes=self.stop - self.start,
+            stripes=geometry.stripes,
             bytes_read=rebuilder.bytes_read,
             rebuilt_bytes=self.out_size,
             crc_mismatches=rebuilder.crc_mismatches,
             quarantined=tuple(rebuilder.quarantined),
         )
-
-
-def compile_file_repair(
-    code: ErasureCode,
-    shards: Mapping[int, object],
-    failed_slot: int,
-    block_size: int,
-    file_size: int,
-    **kwargs,
-) -> CompiledFileRepair:
-    """Compile a whole-file repair plan (see :class:`CompiledFileRepair`)."""
-    return CompiledFileRepair(
-        code, shards, failed_slot, block_size, file_size, **kwargs
-    )
 
 
 @dataclass
@@ -2247,85 +1677,10 @@ class FileRepairResult:
     bytes_read: int
     crc_mismatches: int
     quarantined: Tuple[Tuple[int, int], ...]
-    parallel_used: bool
-    shards: int
-    retries: int = 0
-    serial_fallback_shards: int = 0
 
     @property
     def rebuilt_bytes(self) -> int:
         return int(self.rebuilt.size)
-
-
-@dataclass(frozen=True)
-class _RepairShardTask:
-    """Everything one worker needs to repair stripes [start, stop)."""
-
-    shard: int
-    in_name: str
-    out_name: str
-    code_blob: bytes
-    checks_blob: bytes
-    file_name: str
-    file_size: int
-    block_size: int
-    failed_slot: int
-    slots: Tuple[int, ...]
-    in_offsets: Tuple[int, ...]
-    start: int
-    stop: int
-
-
-def _worker_repair_shard(task: _RepairShardTask, attempt: int = 0):
-    """Repair one stripe range of the shared shards (pickles cleanly).
-
-    Returns ``(bytes_read, crc_mismatches, quarantined)``; the rebuilt
-    bytes land at fixed offsets of the output segment, so retries are
-    idempotent exactly like encode shards.
-    """
-    shm_in, shm_out = _attach_worker_shm(task.in_name, task.out_name)
-    try:
-        try:
-            code: ErasureCode = pickle.loads(task.code_blob)
-            checksums = pickle.loads(task.checks_blob)
-            geometry = _ShardGeometry(
-                code, task.file_name, task.file_size, task.block_size
-            )
-            base = np.ndarray((shm_in.size,), dtype=np.uint8, buffer=shm_in.buf)
-            shards = {}
-            for slot, offset in zip(task.slots, task.in_offsets):
-                size = geometry.shard_size(slot)
-                shards[slot] = base[offset : offset + size]
-            offsets = geometry.shard_offsets(task.failed_slot)
-            out = np.ndarray(
-                (shm_out.size,), dtype=np.uint8, buffer=shm_out.buf
-            )
-            window = out[offsets[task.start] : offsets[task.stop]]
-            compiled = CompiledFileRepair(
-                code,
-                shards,
-                task.failed_slot,
-                task.block_size,
-                task.file_size,
-                name=task.file_name,
-                checksums=checksums,
-                start=task.start,
-                stop=task.stop,
-                out=window,
-            )
-            stats = compiled.run()
-        except (CorruptionError, RepairError):
-            raise
-        except Exception as exc:
-            raise PipelineError(
-                f"repair shard {task.shard} (stripes {task.start}.."
-                f"{task.stop}) failed on the worker: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-    finally:
-        shm_in.close()
-        shm_out.close()
-    return stats.bytes_read, stats.crc_mismatches, stats.quarantined
 
 
 def repair_file(
@@ -2338,255 +1693,37 @@ def repair_file(
     name: str = "file",
     checksums: Optional[Mapping[int, Sequence[int]]] = None,
     parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    progress_timeout: float = DEFAULT_PROGRESS_TIMEOUT,
 ) -> FileRepairResult:
     """Rebuild one failed shard of a whole file held in memory.
 
-    Serial mode compiles the repair once (:class:`CompiledFileRepair`)
-    and executes it; parallel mode shards the stripe ranges over the
-    same self-healing process pool the encoder uses, with survivor
-    shards and the rebuilt output in shared memory.  Both modes return
-    byte-identical rebuilt bytes, equal to the streamed and batched
-    repair paths.
+    Compiles the repair once (:class:`CompiledFileRepair`) and runs it
+    in-process; the rebuilt bytes equal the streamed and batched repair
+    paths'.  ``parallel`` accepts only ``None`` or ``False``; ``True``
+    raises :class:`~repro.errors.PipelineError`.
     """
-    geometry = _ShardGeometry(code, name, file_size, block_size)
-    failed_slot = code.validate_node_index(failed_slot)
+    _reject_pool(parallel)
     with span("pipeline.repair_file"):
-        result = _repair_file_impl(
+        compiled = CompiledFileRepair(
             code,
-            geometry,
             shards,
             failed_slot,
             block_size,
             file_size,
-            name,
-            checksums,
-            parallel,
-            max_workers,
-            progress_timeout,
+            name=name,
+            checksums=checksums,
         )
+        stats = compiled.run()
+    result = FileRepairResult(
+        rebuilt=compiled.out,
+        stripes=stats.stripes,
+        bytes_read=stats.bytes_read,
+        crc_mismatches=stats.crc_mismatches,
+        quarantined=stats.quarantined,
+    )
     m = metrics()
     if m is not None:
         m.inc("pipeline.repair.files")
         m.inc("pipeline.repair.stripes", result.stripes)
         m.inc("pipeline.repair.rebuilt_bytes", result.rebuilt_bytes)
         m.inc("pipeline.repair.bytes_read", result.bytes_read)
-        m.inc(
-            "pipeline.repair.parallel_runs"
-            if result.parallel_used
-            else "pipeline.repair.serial_runs"
-        )
     return result
-
-
-def _repair_file_impl(
-    code,
-    geometry,
-    shards,
-    failed_slot,
-    block_size,
-    file_size,
-    name,
-    checksums,
-    parallel,
-    max_workers,
-    progress_timeout,
-) -> FileRepairResult:
-    if not _decide_parallel(geometry.stripes, parallel):
-        return _repair_file_serial(
-            code, shards, failed_slot, block_size, file_size, name, checksums
-        )
-    result = _repair_file_pooled(
-        code,
-        geometry,
-        shards,
-        failed_slot,
-        block_size,
-        file_size,
-        name,
-        checksums,
-        max_workers,
-        progress_timeout,
-    )
-    if result is not None:
-        return result
-    get_logger("repro.pipeline").warning(
-        "repair-pool-unavailable-serial-fallback",
-        file=name,
-        stripes=geometry.stripes,
-    )
-    return _repair_file_serial(
-        code, shards, failed_slot, block_size, file_size, name, checksums
-    )
-
-
-def _repair_file_serial(
-    code, shards, failed_slot, block_size, file_size, name, checksums
-) -> FileRepairResult:
-    compiled = CompiledFileRepair(
-        code,
-        shards,
-        failed_slot,
-        block_size,
-        file_size,
-        name=name,
-        checksums=checksums,
-    )
-    stats = compiled.run()
-    return FileRepairResult(
-        rebuilt=compiled.out,
-        stripes=stats.stripes,
-        bytes_read=stats.bytes_read,
-        crc_mismatches=stats.crc_mismatches,
-        quarantined=stats.quarantined,
-        parallel_used=False,
-        shards=1,
-    )
-
-
-def _repair_file_pooled(
-    code,
-    geometry: _ShardGeometry,
-    shards,
-    failed_slot,
-    block_size,
-    file_size,
-    name,
-    checksums,
-    max_workers,
-    progress_timeout,
-) -> Optional[FileRepairResult]:
-    """Self-healing pooled repair; None when this host cannot pool."""
-    from multiprocessing import shared_memory
-
-    stripes = geometry.stripes
-    slots = sorted(int(slot) for slot in shards if int(slot) != failed_slot)
-    sizes = {slot: geometry.shard_size(slot) for slot in slots}
-    in_offsets: Dict[int, int] = {}
-    cursor = 0
-    for slot in slots:
-        in_offsets[slot] = cursor
-        cursor += sizes[slot]
-    out_offsets = geometry.shard_offsets(failed_slot)
-    out_total = out_offsets[stripes]
-    workers = max_workers or min(stripes, os.cpu_count() or 1)
-    workers = max(1, min(workers, stripes))
-    bounds = np.linspace(0, stripes, workers + 1).astype(int)
-    code_blob = pickle.dumps(code)
-    checks_blob = pickle.dumps(checksums)
-    shm_in = shm_out = None
-    try:
-        shm_in = shared_memory.SharedMemory(create=True, size=max(1, cursor))
-        shm_out = shared_memory.SharedMemory(
-            create=True, size=max(1, out_total)
-        )
-        m = metrics()
-        if m is not None:
-            m.inc("pipeline.shm_created", 2)
-            m.inc("pipeline.shm_bytes", max(1, cursor) + max(1, out_total))
-        base = np.ndarray((max(1, cursor),), dtype=np.uint8, buffer=shm_in.buf)
-        parent_views = {}
-        for slot in slots:
-            shard = shards[slot]
-            view = (
-                shard.reshape(-1).view(np.uint8)
-                if isinstance(shard, np.ndarray)
-                else np.frombuffer(memoryview(shard).cast("B"), dtype=np.uint8)
-            )
-            if view.size != sizes[slot]:
-                raise RepairError(
-                    f"shard for slot {slot} holds {view.size} bytes, "
-                    f"expected {sizes[slot]}"
-                )
-            lo = in_offsets[slot]
-            base[lo : lo + sizes[slot]] = view
-            parent_views[slot] = base[lo : lo + sizes[slot]]
-        spans = [
-            (int(bounds[w]), int(bounds[w + 1]))
-            for w in range(workers)
-            if int(bounds[w]) < int(bounds[w + 1])
-        ]
-        tasks = [
-            _RepairShardTask(
-                shard=shard,
-                in_name=shm_in.name,
-                out_name=shm_out.name,
-                code_blob=code_blob,
-                checks_blob=checks_blob,
-                file_name=name,
-                file_size=int(file_size),
-                block_size=int(block_size),
-                failed_slot=int(failed_slot),
-                slots=tuple(slots),
-                in_offsets=tuple(in_offsets[slot] for slot in slots),
-                start=start,
-                stop=stop,
-            )
-            for shard, (start, stop) in enumerate(spans)
-        ]
-
-        def _repair_serially(task: _RepairShardTask):
-            out = np.ndarray(
-                (shm_out.size,), dtype=np.uint8, buffer=shm_out.buf
-            )
-            window = out[out_offsets[task.start] : out_offsets[task.stop]]
-            compiled = CompiledFileRepair(
-                code,
-                parent_views,
-                failed_slot,
-                block_size,
-                file_size,
-                name=name,
-                checksums=checksums,
-                start=task.start,
-                stop=task.stop,
-                out=window,
-            )
-            stats = compiled.run()
-            return stats.bytes_read, stats.crc_mismatches, stats.quarantined
-
-        try:
-            retries, serial_fallback_shards, results = (
-                _run_shards_self_healing(
-                    tasks,
-                    _worker_repair_shard,
-                    _repair_serially,
-                    progress_timeout,
-                )
-            )
-        except (OSError, PermissionError, ImportError):
-            return None
-        rebuilt = np.ndarray(
-            (out_total,), dtype=np.uint8, buffer=shm_out.buf
-        ).copy()
-    except (OSError, PermissionError, ImportError):
-        return None
-    finally:
-        m = metrics()
-        for shm in (shm_in, shm_out):
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except (OSError, FileNotFoundError):
-                    pass
-                else:
-                    if m is not None:
-                        m.inc("pipeline.shm_unlinked")
-    bytes_read = sum(int(value[0]) for value in results.values())
-    crc_mismatches = sum(int(value[1]) for value in results.values())
-    quarantined = tuple(
-        sorted(entry for value in results.values() for entry in value[2])
-    )
-    return FileRepairResult(
-        rebuilt=rebuilt,
-        stripes=stripes,
-        bytes_read=bytes_read,
-        crc_mismatches=crc_mismatches,
-        quarantined=quarantined,
-        parallel_used=True,
-        shards=len(tasks),
-        retries=retries,
-        serial_fallback_shards=serial_fallback_shards,
-    )

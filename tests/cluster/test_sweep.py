@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import run_code_comparison
 from repro.cluster.sweep import (
@@ -13,6 +15,8 @@ from repro.cluster.sweep import (
     run_many,
     spawn_seeds,
 )
+from repro.errors import ConfigError
+from repro.parallel import decide_parallel
 
 SMALL = ClusterConfig(
     num_racks=15,
@@ -63,6 +67,31 @@ class TestParallelMap:
         assert not _decide_parallel(1, parallel=True)
 
 
+def test_decide_parallel_rules(monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL", "0")
+    assert not decide_parallel(8, None)
+    assert decide_parallel(8, True)  # explicit request wins
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    assert not decide_parallel(1, None)  # one task: nothing to shard
+    assert not decide_parallel(1, True)
+
+
+class TestParallelEnvValidation:
+    def test_sweep_shares_the_same_helper(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        with pytest.raises(ConfigError):
+            _decide_parallel(8, None)
+
+    def test_valid_values_still_work(self, monkeypatch):
+        import os
+
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        # "1" permits pools; whether one is used still depends on CPUs.
+        assert _decide_parallel(8, None) == ((os.cpu_count() or 1) > 1)
+        monkeypatch.setenv("REPRO_PARALLEL", "0")
+        assert not _decide_parallel(8, None)
+
+
 class TestRunMany:
     def test_parallel_matches_serial(self):
         configs = [
@@ -95,8 +124,6 @@ class TestSpawnSeeds:
         assert spawn_seeds(42, 0) == []
 
     def test_negative_count_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             spawn_seeds(42, -1)
 

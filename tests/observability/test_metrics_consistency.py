@@ -196,14 +196,10 @@ def test_kill_switch_leaves_pipeline_output_identical():
     try:
         observability.set_enabled(True)
         observability.reset()
-        enabled_run = encode_file(
-            ReedSolomonCode(4, 2), data, 4096, parallel=True
-        )
+        enabled_run = encode_file(ReedSolomonCode(4, 2), data, 4096)
         observability.set_enabled(False)
         observability.reset()
-        disabled_run = encode_file(
-            ReedSolomonCode(4, 2), data, 4096, parallel=True
-        )
+        disabled_run = encode_file(ReedSolomonCode(4, 2), data, 4096)
     finally:
         observability.set_enabled(None)
         observability.reset()

@@ -1,17 +1,11 @@
-"""The shared-memory file pipeline: determinism and degradation.
-
-Parallel and serial runs must produce byte-identical parities in the
-same order; ``REPRO_PARALLEL=0`` must force the serial path; hosts that
-cannot spawn pools degrade silently rather than failing.
-"""
+"""The in-process file pipeline: ``encode_file`` matches the codec."""
 
 import numpy as np
 import pytest
 
-from repro.codes.piggyback.code import PiggybackedRSCode
 from repro.codes.rs import ReedSolomonCode
 from repro.striping.codec import StripeCodec
-from repro.striping.pipeline import EncodeResult, _decide_parallel, encode_file
+from repro.striping.pipeline import encode_file
 
 
 @pytest.fixture
@@ -21,19 +15,9 @@ def data():
     )
 
 
-def _assert_same(a: EncodeResult, b: EncodeResult):
-    assert len(a.parities) == len(b.parities)
-    for row_a, row_b in zip(a.parities, b.parities):
-        for pa, pb in zip(row_a, row_b):
-            assert pa.block_id == pb.block_id
-            assert pa.size == pb.size
-            assert np.array_equal(pa.payload, pb.payload)
-
-
 def test_serial_matches_scalar_codec(data):
     code = ReedSolomonCode(6, 3)
-    result = encode_file(code, data, 1024, parallel=False)
-    assert not result.parallel_used and result.shards == 1
+    result = encode_file(code, data, 1024)
     codec = StripeCodec(code)
     cursor = 0
     for layout, parities in zip(result.layouts, result.parities):
@@ -48,45 +32,9 @@ def test_serial_matches_scalar_codec(data):
             assert np.array_equal(got.payload, want.payload)
 
 
-def test_parallel_matches_serial(data):
-    """Forced-parallel output is byte-identical and identically ordered.
-
-    On hosts where pools or shared memory are unavailable the pipeline
-    legitimately degrades to serial, which compares equal trivially.
-    """
-    code = PiggybackedRSCode(6, 3)
-    serial = encode_file(code, data, 1024, parallel=False)
-    forced = encode_file(code, data, 1024, parallel=True, max_workers=2)
-    _assert_same(serial, forced)
-
-
-def test_kill_switch_forces_serial(data, monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
-    result = encode_file(ReedSolomonCode(6, 3), data, 1024)
-    assert not result.parallel_used
-    assert result.shards == 1
-
-
-def test_decide_parallel_rules(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
-    assert not _decide_parallel(8, None)
-    assert _decide_parallel(8, True)  # explicit request wins
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-    assert not _decide_parallel(1, None)  # one stripe: nothing to shard
-    assert not _decide_parallel(1, True)
-
-
-def test_single_stripe_stays_serial():
-    code = ReedSolomonCode(6, 3)
-    data = np.arange(6 * 256, dtype=np.uint64).astype(np.uint8)
-    result = encode_file(code, data, 256, parallel=True)
-    assert len(result.layouts) == 1
-    assert not result.parallel_used
-
-
 def test_parity_bytes_accounting(data):
     code = ReedSolomonCode(6, 3)
-    result = encode_file(code, data, 1024, parallel=False)
+    result = encode_file(code, data, 1024)
     assert result.parity_bytes == sum(
         p.size for row in result.parities for p in row
     )

@@ -28,7 +28,7 @@ BLOCK = 1 << 12
 
 
 def reference_parity(code, data, block_size):
-    result = encode_file(code, data, block_size, parallel=False)
+    result = encode_file(code, data, block_size)
     return np.concatenate(
         [p.payload for row in result.parities for p in row]
     )

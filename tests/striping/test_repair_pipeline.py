@@ -341,28 +341,75 @@ def test_repair_stream_from_paths_to_path(tmp_path):
     assert result.rebuilt_bytes == len(shards[failed])
 
 
-@pytest.mark.parametrize("code_name", sorted(_CODES))
-def test_repair_file_parallel_matches_serial(code_name):
+@pytest.mark.parametrize("code_name", ["rs", "piggyback"])
+def test_default_calls_run_in_process_on_a_multicore_host(
+    code_name, monkeypatch
+):
+    """With eight CPUs and ``REPRO_PARALLEL`` unset, default
+    ``encode_file`` and ``repair_file`` calls start no process pool and
+    create no shared memory, and match StripeCodec byte for byte and in
+    bytes read; ``parallel=True`` is refused."""
+    import concurrent.futures
+    import concurrent.futures.process
+    import os
+    from multiprocessing import shared_memory
+
+    from repro.striping import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the file pipeline started a pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(
+        concurrent.futures.process, "ProcessPoolExecutor", refuse
+    )
+    # A module-level import binds the class before the patches above.
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", refuse, raising=False)
+
     code = _CODES[code_name]
-    rng = np.random.default_rng(23)
     block_size = 64
     file_size = code.k * block_size * 6 + 17
-    data = rng.integers(0, 256, size=file_size, dtype=np.uint8)
-    _, _, shards, checksums = _materialise(code, "f", data, block_size)
+    data = np.random.default_rng(23).integers(
+        0, 256, size=file_size, dtype=np.uint8
+    )
+    layouts, per_stripe, shards, checksums = _materialise(
+        code, "f", data, block_size
+    )
+
+    encoded = pipeline.encode_file(code, data, block_size, name="f")
+    assert len(encoded.parities) == len(per_stripe)
+    for parities, slot_map in zip(encoded.parities, per_stripe):
+        for j, parity in enumerate(parities):
+            want = slot_map[code.k + j]
+            assert parity.block_id == want.block_id
+            assert np.array_equal(parity.payload, want.payload)
+    assert not encoded.parallel_used
+
     failed = 3
+    codec = StripeCodec(code)
+    oracle_bytes_read = 0
+    for layout, slot_map in zip(layouts, per_stripe):
+        if failed in slot_map:
+            available = {s: b for s, b in slot_map.items() if s != failed}
+            oracle_bytes_read += codec.repair_block(layout, failed, available)[1]
     survivors = {s: shards[s] for s in range(code.n) if s != failed}
-    serial = repair_file(
+    repaired = pipeline.repair_file(
         code, survivors, failed, block_size, file_size,
-        name="f", checksums=checksums, parallel=False,
+        name="f", checksums=checksums,
     )
-    parallel = repair_file(
-        code, survivors, failed, block_size, file_size,
-        name="f", checksums=checksums, parallel=True, max_workers=2,
-    )
-    assert serial.rebuilt.tobytes() == shards[failed]
-    assert parallel.rebuilt.tobytes() == shards[failed]
-    assert serial.bytes_read == parallel.bytes_read
-    assert not serial.parallel_used
+    assert repaired.rebuilt.tobytes() == shards[failed]
+    assert repaired.bytes_read == oracle_bytes_read
+
+    with pytest.raises(PipelineError):
+        pipeline.encode_file(code, data, block_size, parallel=True)
+    with pytest.raises(PipelineError):
+        pipeline.repair_file(
+            code, survivors, failed, block_size, file_size,
+            name="f", checksums=checksums, parallel=True,
+        )
 
 
 def test_compiled_repair_reruns_against_current_shard_contents():
@@ -468,7 +515,7 @@ def test_ragged_tails_match_stripe_codec(code_name, blocks, extra, block_size):
         sources = {s: shards[s] for s in range(code.n) if s != failed}
         whole = repair_file(
             code, sources, failed, block_size, file_size,
-            name="f", checksums=checksums, parallel=False,
+            name="f", checksums=checksums,
         )
         assert whole.rebuilt.tobytes() == shards[failed]
         assert whole.bytes_read == oracle_bytes
@@ -519,7 +566,7 @@ def test_uncorrupted_runs_never_call_the_scalar_oracle(code_name, monkeypatch):
             sources = {s: shards[s] for s in range(code.n) if s != failed}
             whole = repair_file(
                 code, sources, failed, block_size, file_size,
-                name="f", checksums=checksums, parallel=False,
+                name="f", checksums=checksums,
             )
             assert whole.rebuilt.tobytes() == shards[failed]
             compiled = CompiledFileRepair(
