@@ -322,7 +322,8 @@ COMPILED_REPAIR_FLOOR_MB_PER_S = 3200.0
 
 #: Larger honest end-to-end geometry for repair_file / repair_stream:
 #: checksum verification, geometry planning and (for the stream) the
-#: reader/writer threads are all inside the clock.
+#: staging of survivor rows and the sink writes are all inside the
+#: clock.
 E2E_STRIPES = 2 if _SMOKE else 12
 E2E_BLOCK_SIZE = 16384 if _SMOKE else 256 * 1024
 
@@ -465,9 +466,10 @@ def test_file_repair_e2e_throughput(benchmark):
 def test_repair_stream_throughput(benchmark):
     """Streaming repair over in-memory survivor shards.
 
-    Reader/rebuild/writer threads, bounded queues and executor reuse
-    all inside the clock; output proven byte-identical to the stored
-    shard every round.
+    The inline read -> rebuild -> write loop (survivor staging, fused
+    kernels with executor reuse, CRC verification, sink writes) runs
+    inside the clock; output proven byte-identical to the stored shard
+    every round.
     """
     code = CODE
     failed = 0

@@ -57,6 +57,9 @@ def destination_entropy(seed_sequence: np.random.SeedSequence) -> int:
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
+#: d3 destination key of a rack hosting an excluded node.
+_EXCLUDED_RACK = np.iinfo(np.int64).max
+
 
 def _splitmix64_int(x: int) -> int:
     """Scalar splitmix64 finaliser; bit-identical to :func:`_splitmix64`."""
@@ -880,23 +883,16 @@ class DeterministicRoundRobinPlacement(PlacementPolicy):
         """Deterministic destination: ``(node, rack, cursor_steps)``."""
         num_racks = self.topology.num_racks
         npr = self.topology.nodes_per_rack
-        used_racks = {n // npr for n in exclude}
-        best = -1
-        for rack in range(num_racks):
-            if rack in used_racks:
-                continue
-            if best < 0 or (
-                (self._load[rack], self._rack_rank[rack])
-                < (self._load[best], self._rack_rank[best])
-            ):
-                best = rack
-        if best >= 0:
+        # Ranks are a permutation of [0, R), so ``load * R + rank``
+        # orders racks by (load, rank) with no ties.
+        keys = self._load * num_racks + self._rack_rank
+        eligible = keys.copy()
+        eligible[[n // npr for n in exclude]] = _EXCLUDED_RACK
+        best = int(eligible.argmin())
+        if eligible[best] != _EXCLUDED_RACK:
             node, steps = self._rotate(best, exclude)
             return node, best, steps
-        ranked = sorted(
-            range(num_racks),
-            key=lambda r: (int(self._load[r]), int(self._rack_rank[r])),
-        )
+        ranked = np.argsort(keys).tolist()
         if self.spares_per_rack:
             # Spare-pool fallback rule: a free spare anywhere beats
             # touching a data node.

@@ -51,10 +51,10 @@ class CorruptionError(ReproError):
 class PipelineError(ReproError):
     """A file-pipeline operation failed outside the codec itself.
 
-    Raised when a streamed survivor source is short or a streaming
-    reader or writer thread fails (the message names the slot or file
-    and the underlying error), and when a caller asks for the process
-    pool the file pipeline no longer has.
+    Raised when a streamed survivor source is short or a stream's
+    source or sink fails (the message names the slot or file and the
+    underlying error), and when a caller asks for the process pool the
+    file pipeline no longer has.
     """
 
 

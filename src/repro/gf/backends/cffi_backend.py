@@ -23,9 +23,10 @@ tables are built on the Python side from the field's own product table /
 bit matrices and passed by pointer per call, so one compiled module
 serves every :class:`~repro.gf.field.GF256` instance.
 
-cffi releases the GIL around API-mode calls, which is what lets the
-overlapped file pipeline (:func:`repro.striping.pipeline.encode_stream`)
-encode while its reader and writer threads move bytes.
+cffi releases the GIL around API-mode calls.  Nothing in the package
+relies on that: the streaming file pipeline
+(:func:`repro.striping.pipeline.encode_stream`) reads, runs kernels and
+writes inline on the calling thread.
 
 Construction raises :class:`~repro.errors.BackendUnavailable` when cffi
 is missing or no working C compiler exists; the registry then falls

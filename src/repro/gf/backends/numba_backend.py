@@ -1,9 +1,8 @@
 """Optional numba-JIT kernel backend.
 
 A middle tier for hosts with numba but no C compiler: the product-table
-accumulation loop is JIT-compiled with ``nogil=True`` so, like the cffi
-tier, it cooperates with the overlapped file pipeline's reader/writer
-threads.  Kernels are compiled per-process on first construction; the
+accumulation loop is JIT-compiled with ``nogil=True``, so, like the cffi
+tier, it releases the GIL inside each kernel call.  Kernels are compiled per-process on first construction; the
 probe runs a tiny warm-up call so "numba is installed but cannot
 compile" surfaces as :class:`~repro.errors.BackendUnavailable` at
 selection time rather than as a crash on the hot path.

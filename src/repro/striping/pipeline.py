@@ -8,12 +8,15 @@ codes' fused batch kernels:
 - :func:`encode_file` -- chunk an in-memory file into blocks and encode
   every stripe through :meth:`StripeCodec.encode_stripes`, whose full
   stripes take the zero-copy ``(s, k, w)`` fast path;
-- :func:`encode_stream` -- the same parities with reads, encodes and
-  writes overlapped on three threads;
+- :func:`encode_stream` -- the same parities for a source read chunk
+  by chunk, in bounded memory;
 - :func:`repair_file` -- rebuild one failed shard of an in-memory file
   through one :class:`CompiledFileRepair`;
 - :func:`repair_stream` / :func:`decode_file` -- streamed repair and
   degraded read over survivor shard streams.
+
+The streamed entry points are one inline loop on the calling thread:
+read a chunk, compute it, write it, then take the next.
 
 All paths produce byte-identical output for the same bytes.  Checksummed
 repairs verify every rebuilt unit and quarantine corrupt survivors
@@ -24,14 +27,14 @@ before retrying, so a bad survivor surfaces as a quarantine record or a
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time as time_module
 from collections import OrderedDict
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -154,31 +157,123 @@ def encode_file(
 
 
 # ----------------------------------------------------------------------
-# Overlapped streaming encode (read || encode || write)
+# Streaming: one inline loop (read -> compute -> write) per call
 # ----------------------------------------------------------------------
 #
-# ``encode_file`` holds the whole file in memory and runs its phases
-# back to back: read everything, encode everything, hand back parities.
-# For cold-raid ingest the phases have different bottlenecks (disk,
-# CPU, disk), so running them in sequence leaves each resource idle two
-# thirds of the time.  ``encode_stream`` pipelines them with three
-# threads and bounded queues:
-#
-#     reader --(work)--> encoder --(parity)--> writer
-#        ^------(free buffer pool)----'
-#
-# The native kernel backends release the GIL inside their C/JIT calls,
-# so the reader and writer genuinely overlap the encode thread.  Chunks
-# are whole stripes (``chunk_stripes * k * block_size`` bytes), which
-# makes the streamed parity byte-identical to ``encode_file`` on the
-# same bytes: every chunk boundary is a stripe boundary, and the final
+# ``encode_file`` holds the whole file in memory.  ``encode_stream``,
+# ``repair_stream`` and ``decode_file`` bound memory instead: each takes
+# one stripe-aligned chunk from its source, computes it and writes the
+# result to its sink before it takes the next, all on the calling
+# thread (:func:`_run_stream`).  The stages are not split over reader
+# and writer threads: on one core threads cannot overlap them, and each
+# call would pay a thread start, a join and lock hand-offs.  Chunks are
+# whole stripes (``chunk_stripes * k * block_size`` bytes), which makes
+# the streamed parity byte-identical to ``encode_file`` on the same
+# bytes: every chunk boundary is a stripe boundary, and the final
 # ragged chunk pads exactly like the file tail would.
 
 #: Streaming chunk-size target; chunks round up to whole stripes.
 STREAM_CHUNK_TARGET_BYTES = 8 * 1024 * 1024
 
-#: Poll interval for queue operations while shutting down on error.
-_STREAM_POLL_SECONDS = 0.05
+
+def _chunk_stripes(
+    code: ErasureCode, block_size: int, chunk_stripes: Optional[int]
+) -> int:
+    """Stripes per streamed chunk: ``chunk_stripes``, checked, or the
+    default of whole stripes totalling about
+    :data:`STREAM_CHUNK_TARGET_BYTES`."""
+    if chunk_stripes is None:
+        return max(1, -(-STREAM_CHUNK_TARGET_BYTES // (code.k * block_size)))
+    if chunk_stripes < 1:
+        raise EncodingError(
+            f"chunk_stripes must be >= 1, got {chunk_stripes}"
+        )
+    return chunk_stripes
+
+
+def _stream_failure(what: str, name: str, exc: Exception) -> PipelineError:
+    """The error to raise for a failing source or sink: a
+    :class:`PipelineError` as is, anything else wrapped in one."""
+    if isinstance(exc, PipelineError):
+        return exc
+    error = PipelineError(
+        f"streaming {what} of {name!r} failed: {type(exc).__name__}: {exc}"
+    )
+    error.__cause__ = exc
+    return error
+
+
+def _run_stream(
+    what: str,
+    name: str,
+    sink,
+    open_source: Callable[[ExitStack], Iterator],
+    process: Callable[[object], Sequence[np.ndarray]],
+) -> Tuple[int, int, float, float, float, float]:
+    """Take a chunk, process it, write its payloads; repeat to the end.
+
+    ``open_source(stack)`` returns an iterator of chunks and opens any
+    file it reads on ``stack``; ``process(chunk)`` returns the
+    byte-like payloads to write to ``sink`` (a path, a writable binary
+    file object, or None to discard).  A chunk's payloads are written
+    before the next chunk is taken, so the source may refill one buffer
+    per chunk and payloads may view it.
+
+    A failing source or sink -- opening, reading, writing or closing --
+    raises :class:`PipelineError` (``"streaming {what} of {name!r}
+    failed: ..."`` unless it already was one); errors from ``process``
+    propagate unchanged.  Every file opened here is closed either way.
+
+    Returns ``(chunks, emitted_bytes, wall, process_seconds,
+    read_seconds, write_seconds)``.
+    """
+    clock = time_module.perf_counter
+    start = clock()
+    process_seconds = read_seconds = write_seconds = 0.0
+    chunks = emitted = 0
+    with ExitStack() as stack:
+        try:
+            handle = sink
+            if isinstance(sink, (str, os.PathLike)):
+                handle = stack.enter_context(open(sink, "wb"))
+            source = open_source(stack)
+        except Exception as exc:
+            raise _stream_failure(what, name, exc)
+        while True:
+            t0 = clock()
+            try:
+                chunk = next(source, None)
+            except Exception as exc:
+                raise _stream_failure(what, name, exc)
+            t1 = clock()
+            read_seconds += t1 - t0
+            if chunk is None:
+                break
+            payloads = process(chunk)
+            t2 = clock()
+            process_seconds += t2 - t1
+            chunks += 1
+            try:
+                for payload in payloads:
+                    view = memoryview(payload)
+                    emitted += view.nbytes
+                    if handle is not None:
+                        handle.write(view)
+            except Exception as exc:
+                raise _stream_failure(what, name, exc)
+            write_seconds += clock() - t2
+        try:
+            stack.close()
+        except Exception as exc:
+            raise _stream_failure(what, name, exc)
+    return (
+        chunks,
+        emitted,
+        clock() - start,
+        process_seconds,
+        read_seconds,
+        write_seconds,
+    )
 
 
 @dataclass
@@ -188,14 +283,14 @@ class StreamEncodeResult:
     Attributes
     ----------
     stripes, chunks, data_bytes, parity_bytes:
-        Work accounted: stripes encoded, chunks pipelined, source bytes
+        Work accounted: stripes encoded, chunks streamed, source bytes
         consumed and parity bytes produced.
     wall_seconds, encode_seconds:
         End-to-end wall time and the part spent inside the codec.
     read_wait_seconds, write_wait_seconds:
-        Encoder stalls: waiting for the reader to produce a chunk /
-        waiting for the writer to drain one.  High read wait means the
-        source is the bottleneck; high write wait, the sink.
+        Time spent reading source chunks / writing parities to the
+        sink.  A large read share of the wall time means the source is
+        the bottleneck; a large write share, the sink.
     """
 
     stripes: int
@@ -215,61 +310,51 @@ class StreamEncodeResult:
         return min(self.encode_seconds / self.wall_seconds, 1.0)
 
 
-def _iter_source_chunks(source, chunk_size: int, free_buffers):
-    """Yield ``(array, length, owned)`` chunks from ``source``.
+def _fill(handle, view: memoryview) -> int:
+    """Read from ``handle`` into ``view`` until it is full or at EOF;
+    returns the bytes read."""
+    filled = 0
+    total = len(view)
+    while filled < total:
+        if hasattr(handle, "readinto"):
+            n = handle.readinto(view[filled:])
+            n = 0 if n is None else int(n)
+        else:
+            piece = handle.read(total - filled)
+            n = len(piece) if piece else 0
+            if n:
+                view[filled : filled + n] = piece
+        if n == 0:
+            break
+        filled += n
+    return filled
 
-    ``source`` may be a filesystem path, a readable binary file object,
-    or a bytes-like object.  File sources fill pool buffers taken from
-    the ``free_buffers`` queue (``owned=True``: the encoder returns them
-    after use); bytes-like sources yield zero-copy views
-    (``owned=False``).
+
+def _iter_source_chunks(stack: ExitStack, source, chunk_size: int):
+    """Yield ``source`` as consecutive uint8 chunks of ``chunk_size``.
+
+    ``source`` may be a filesystem path (opened on ``stack``), a
+    readable binary file object, or a bytes-like object.  File sources
+    refill one chunk buffer, so a chunk is valid only until the next is
+    taken; bytes-like sources yield zero-copy views.  An empty source
+    yields one empty chunk, so the stream encodes the same single
+    empty-block stripe ``encode_file`` produces for ``b""``.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as handle:
-            yield from _iter_file_chunks(handle, chunk_size, free_buffers)
-    elif hasattr(source, "readinto") or hasattr(source, "read"):
-        yield from _iter_file_chunks(source, chunk_size, free_buffers)
-    else:
-        data = np.frombuffer(memoryview(source).cast("B"), dtype=np.uint8)
-        if data.size == 0:
-            yield data, 0, False
-            return
-        for start in range(0, data.size, chunk_size):
-            view = data[start : start + chunk_size]
-            yield view, int(view.size), False
-
-
-def _iter_file_chunks(handle, chunk_size: int, free_buffers):
-    """Fill pool buffers from a file object until EOF."""
-    produced = False
-    while True:
-        buffer = free_buffers.get()
+        source = stack.enter_context(open(source, "rb"))
+    if hasattr(source, "readinto") or hasattr(source, "read"):
+        buffer = np.empty(chunk_size, dtype=np.uint8)
         view = memoryview(buffer)
-        filled = 0
-        while filled < chunk_size:
-            if hasattr(handle, "readinto"):
-                n = handle.readinto(view[filled:chunk_size])
-                n = 0 if n is None else int(n)
-            else:
-                piece = handle.read(chunk_size - filled)
-                n = len(piece) if piece else 0
-                if n:
-                    view[filled : filled + n] = piece
-            if n == 0:
-                break
-            filled += n
-        if filled == 0:
-            free_buffers.put(buffer)
-            if not produced:
-                # Empty source: one empty chunk, so the stream encodes
-                # the same single empty-block stripe ``encode_file``
-                # produces for b"".
-                yield np.empty(0, dtype=np.uint8), 0, False
-            return
-        produced = True
-        yield buffer, filled, True
-        if filled < chunk_size:
-            return
+        filled = _fill(source, view)
+        yield buffer[:filled]
+        while filled == chunk_size:
+            filled = _fill(source, view)
+            if filled:
+                yield buffer[:filled]
+        return
+    data = np.frombuffer(memoryview(source).cast("B"), dtype=np.uint8)
+    for start in range(0, max(data.size, 1), chunk_size):
+        yield data[start : start + chunk_size]
 
 
 def encode_stream(
@@ -280,9 +365,8 @@ def encode_stream(
     *,
     name: str = "file",
     chunk_stripes: Optional[int] = None,
-    queue_depth: int = 2,
 ) -> StreamEncodeResult:
-    """Encode a byte stream with reads, encodes and writes overlapped.
+    """Encode a byte stream chunk by chunk in bounded memory.
 
     ``source`` is a path, a readable binary file object, or a
     bytes-like object; ``sink`` is a path, a writable binary file
@@ -291,181 +375,55 @@ def encode_stream(
     payloads back to back -- and are byte-identical to what
     :func:`encode_file` computes for the same bytes and ``block_size``.
 
-    ``chunk_stripes`` sets the pipeline granularity (default: whole
-    stripes totalling about :data:`STREAM_CHUNK_TARGET_BYTES`);
-    ``queue_depth`` bounds each inter-thread queue, so memory use is
-    ``O(queue_depth * chunk_stripes * k * block_size)``.
+    Each chunk is read, encoded and its parities written before the
+    next is read, on the calling thread.  ``chunk_stripes`` sets the
+    chunk (default: whole stripes totalling about
+    :data:`STREAM_CHUNK_TARGET_BYTES`), so memory use is
+    ``O(chunk_stripes * k * block_size)``.  A failing source or sink
+    raises :class:`~repro.errors.PipelineError`.
     """
     if block_size <= 0:
         raise EncodingError(f"block size must be positive, got {block_size}")
-    if queue_depth < 1:
-        raise EncodingError(f"queue depth must be >= 1, got {queue_depth}")
-    stripe_bytes = code.k * block_size
-    if chunk_stripes is None:
-        chunk_stripes = max(
-            1, -(-STREAM_CHUNK_TARGET_BYTES // stripe_bytes)
-        )
-    if chunk_stripes < 1:
-        raise EncodingError(
-            f"chunk_stripes must be >= 1, got {chunk_stripes}"
-        )
-    chunk_size = chunk_stripes * stripe_bytes
-
+    chunk_size = _chunk_stripes(code, block_size, chunk_stripes) * (
+        code.k * block_size
+    )
     codec = StripeCodec(code)
-    free_buffers: "queue.Queue[np.ndarray]" = queue.Queue()
-    for _ in range(queue_depth + 1):
-        free_buffers.put(np.empty(chunk_size, dtype=np.uint8))
-    work_q: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-    write_q: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-    stop = threading.Event()
-    errors: List[BaseException] = []
+    stripes = data_bytes = 0
 
-    def _put(q, item) -> bool:
-        """Put with stop-polling; False when the stream is aborting."""
-        while not stop.is_set():
-            try:
-                q.put(item, timeout=_STREAM_POLL_SECONDS)
-                return True
-            except queue.Full:
-                continue
-        return False
+    def encode_chunk(item) -> List[np.ndarray]:
+        nonlocal stripes, data_bytes
+        index, chunk = item
+        chunk_name = f"{name}/chunk_{index}"
+        file = chunk_bytes(chunk_name, chunk, block_size=block_size)
+        layouts = group_into_stripes(
+            file.blocks, code.k, code.r, stripe_prefix=f"{chunk_name}/stripe"
+        )
+        parities = codec.encode_stripes(
+            layouts, _data_slot_lists(layouts, file.blocks)
+        )
+        stripes += len(layouts)
+        data_bytes += int(chunk.size)
+        return [p.payload for row in parities for p in row]
 
-    def reader() -> None:
-        try:
-            for chunk in _iter_source_chunks(source, chunk_size, free_buffers):
-                if not _put(work_q, chunk):
-                    return
-        except Exception as exc:
-            errors.append(exc)
-            stop.set()
-        finally:
-            _put(work_q, None)
-
-    def writer() -> None:
-        handle = None
-        close = False
-        try:
-            if sink is None:
-                pass
-            elif isinstance(sink, (str, os.PathLike)):
-                handle = open(sink, "wb")
-                close = True
-            else:
-                handle = sink
-            while True:
-                try:
-                    item = write_q.get(timeout=_STREAM_POLL_SECONDS)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                if item is None:
-                    return
-                if handle is not None:
-                    for payload in item:
-                        handle.write(memoryview(payload))
-        except Exception as exc:
-            errors.append(exc)
-            stop.set()
-            # Keep draining so the encoder never blocks on a full queue.
-            while True:
-                try:
-                    if write_q.get_nowait() is None:
-                        return
-                except queue.Empty:
-                    return
-        finally:
-            if close and handle is not None:
-                handle.close()
-
-    start_wall = time_module.perf_counter()
-    encode_seconds = 0.0
-    read_wait = 0.0
-    write_wait = 0.0
-    stripes = 0
-    chunks = 0
-    data_bytes = 0
-    parity_bytes = 0
-
-    reader_thread = threading.Thread(
-        target=reader, name="repro-stream-reader", daemon=True
-    )
-    writer_thread = threading.Thread(
-        target=writer, name="repro-stream-writer", daemon=True
-    )
     with span("pipeline.encode_stream"):
-        reader_thread.start()
-        writer_thread.start()
-        try:
-            while True:
-                t0 = time_module.perf_counter()
-                # Poll rather than block: a reader that died after
-                # ``stop`` was set may never deliver its sentinel.
-                item = None
-                while True:
-                    try:
-                        item = work_q.get(timeout=_STREAM_POLL_SECONDS)
-                        break
-                    except queue.Empty:
-                        if stop.is_set():
-                            break
-                read_wait += time_module.perf_counter() - t0
-                if item is None:
-                    break
-                buffer, length, owned = item
-                t0 = time_module.perf_counter()
-                chunk_name = f"{name}/chunk_{chunks}"
-                file = chunk_bytes(
-                    chunk_name, buffer[:length], block_size=block_size
-                )
-                layouts = group_into_stripes(
-                    file.blocks,
-                    code.k,
-                    code.r,
-                    stripe_prefix=f"{chunk_name}/stripe",
-                )
-                slot_lists = _data_slot_lists(layouts, file.blocks)
-                parities = codec.encode_stripes(layouts, slot_lists)
-                flat = [p.payload for row in parities for p in row]
-                encode_seconds += time_module.perf_counter() - t0
-                if owned:
-                    free_buffers.put(buffer)
-                chunks += 1
-                stripes += len(layouts)
-                data_bytes += length
-                parity_bytes += sum(int(p.size) for p in flat)
-                t0 = time_module.perf_counter()
-                if not _put(write_q, flat):
-                    break
-                write_wait += time_module.perf_counter() - t0
-        except BaseException:
-            stop.set()
-            raise
-        finally:
-            _put(write_q, None)
-            if stop.is_set():
-                # Unstick a reader blocked on the buffer pool.
-                free_buffers.put(np.empty(0, dtype=np.uint8))
-            reader_thread.join()
-            writer_thread.join()
-    wall = time_module.perf_counter() - start_wall
-    if errors:
-        first = errors[0]
-        if isinstance(first, PipelineError):
-            raise first
-        raise PipelineError(
-            f"streaming encode of {name!r} failed: "
-            f"{type(first).__name__}: {first}"
-        ) from first
+        chunks, parity_bytes, wall, encode_s, read_s, write_s = _run_stream(
+            "encode",
+            name,
+            sink,
+            lambda stack: enumerate(
+                _iter_source_chunks(stack, source, chunk_size)
+            ),
+            encode_chunk,
+        )
     result = StreamEncodeResult(
         stripes=stripes,
         chunks=chunks,
         data_bytes=data_bytes,
         parity_bytes=parity_bytes,
         wall_seconds=wall,
-        encode_seconds=encode_seconds,
-        read_wait_seconds=read_wait,
-        write_wait_seconds=write_wait,
+        encode_seconds=encode_s,
+        read_wait_seconds=read_s,
+        write_wait_seconds=write_s,
     )
     m = metrics()
     if m is not None:
@@ -474,8 +432,8 @@ def encode_stream(
         m.inc("pipeline.overlap.stripes", result.stripes)
         m.inc("pipeline.overlap.data_bytes", result.data_bytes)
         m.inc("pipeline.overlap.parity_bytes", result.parity_bytes)
-        m.observe("pipeline.overlap.read_wait_seconds", read_wait)
-        m.observe("pipeline.overlap.write_wait_seconds", write_wait)
+        m.observe("pipeline.overlap.read_wait_seconds", read_s)
+        m.observe("pipeline.overlap.write_wait_seconds", write_s)
         m.set_gauge("pipeline.overlap.occupancy", result.occupancy)
     return result
 
@@ -489,8 +447,9 @@ def encode_stream(
 # same treatment the encode path already has.  Three entry points share
 # one core:
 #
-# - ``repair_stream``   -- reader || rebuild || writer over survivor
-#                          shard streams, mirroring ``encode_stream``;
+# - ``repair_stream``   -- read, rebuild and write survivor shard
+#                          streams chunk by chunk, through the same
+#                          inline loop as ``encode_stream``;
 # - ``repair_file``     -- whole-file repair of in-memory shards
 #                          through one :class:`CompiledFileRepair`;
 # - ``decode_file``     -- streaming degraded read: recover the original
@@ -802,11 +761,11 @@ class _StripeRebuilder:
 
 
 class _ShardBufferSet:
-    """One pooled unit of stream memory: survivor row buffers, an
-    output buffer and (for repair) the fused executor bound to them.
+    """A stream's reusable chunk memory: survivor row buffers, an output
+    buffer and (for repair) the fused executor bound to them.
 
-    Binding the executor to the pool buffers once means steady-state
-    chunks pay no per-chunk Python marshalling: the reader refills the
+    Binding the executor to these buffers once means steady-state
+    chunks pay no per-chunk Python marshalling: each chunk refills the
     same memory and the cached executor replays the whole survivor wave
     as a single native call.
     """
@@ -833,294 +792,115 @@ class _ShardBufferSet:
 
 def _read_exact(handle, view: memoryview, slot: int) -> None:
     """Fill ``view`` from ``handle`` completely or fail loudly."""
-    filled = 0
-    total = len(view)
-    while filled < total:
-        if hasattr(handle, "readinto"):
-            n = handle.readinto(view[filled:])
-            n = 0 if n is None else int(n)
-        else:
-            piece = handle.read(total - filled)
-            n = len(piece) if piece else 0
-            if n:
-                view[filled : filled + n] = piece
-        if n == 0:
-            raise PipelineError(
-                f"survivor source for slot {slot} ended after "
-                f"{filled} of {total} expected bytes"
-            )
-        filled += n
+    filled = _fill(handle, view)
+    if filled < len(view):
+        raise PipelineError(
+            f"survivor source for slot {slot} ended after "
+            f"{filled} of {len(view)} expected bytes"
+        )
 
 
-def _stream_shards(
+def _shard_chunks(
+    stack: ExitStack,
     geometry: _ShardGeometry,
     sources: Mapping[int, object],
-    sink,
-    name: str,
     chunk_stripes: int,
-    queue_depth: int,
-    rebuild_chunk: Callable,
 ):
-    """Reader -> rebuild -> writer scaffolding over survivor shards.
+    """Yield ``(t0, t1, rows_by_slot, bufset)`` for each chunk of stripes.
 
-    The shared driver behind :func:`repair_stream` and
-    :func:`decode_file`.  ``rebuild_chunk(t0, t1, rows_by_slot, bufset)``
-    runs on the main thread and returns the byte views to emit for
-    stripes ``[t0, t1)``; rows handed to it are width-padded per-stripe
-    views (``None`` in stripes where the slot is virtual), either
-    zero-copy into bytes-like sources or into pooled buffers refilled
-    by the reader thread.
-
-    Returns ``(stripes, chunks, emitted_bytes, wall, rebuild_seconds,
-    read_wait, write_wait)``.
+    The source side of :func:`repair_stream` and :func:`decode_file`.
+    Rows are width-padded per-stripe views (``None`` in stripes where
+    the slot is virtual), either zero-copy into bytes-like sources or
+    into the one :class:`_ShardBufferSet`, which every chunk refills
+    from file sources -- so a chunk's rows, and payloads that view
+    them, are valid only until the next chunk is taken.  Path sources
+    are opened on ``stack``.
     """
     slots = sorted(int(slot) for slot in sources)
     width = geometry.max_width
-    free_sets: "queue.Queue[_ShardBufferSet]" = queue.Queue()
-    for _ in range(queue_depth + 1):
-        free_sets.put(_ShardBufferSet(chunk_stripes, width))
-    work_q: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-    write_q: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-    stop = threading.Event()
-    errors: List[BaseException] = []
-
-    def _put(q, item) -> bool:
-        while not stop.is_set():
-            try:
-                q.put(item, timeout=_STREAM_POLL_SECONDS)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _take_bufset() -> Optional[_ShardBufferSet]:
-        while not stop.is_set():
-            try:
-                return free_sets.get(timeout=_STREAM_POLL_SECONDS)
-            except queue.Empty:
-                continue
-        return None
-
-    def reader() -> None:
-        handles: Dict[int, object] = {}
-        views: Dict[int, np.ndarray] = {}
-        cursors: Dict[int, int] = {}
-        opened: List[object] = []
-        try:
-            for slot in slots:
-                source = sources[slot]
-                if isinstance(source, (str, os.PathLike)):
-                    handle = open(source, "rb")
-                    opened.append(handle)
-                    handles[slot] = handle
-                elif hasattr(source, "readinto") or hasattr(source, "read"):
-                    handles[slot] = source
-                else:
-                    view = np.frombuffer(
-                        memoryview(source).cast("B"), dtype=np.uint8
-                    )
-                    expected = geometry.shard_size(slot)
-                    if view.size != expected:
-                        raise PipelineError(
-                            f"shard for slot {slot} holds {view.size} bytes,"
-                            f" expected {expected}"
-                        )
-                    views[slot] = view
-                    cursors[slot] = 0
-            for t0 in range(0, geometry.stripes, chunk_stripes):
-                t1 = min(t0 + chunk_stripes, geometry.stripes)
-                bufset = _take_bufset()
-                if bufset is None:
-                    return
-                bufset.pooled = True
-                rows_by_slot: Dict[int, Sequence[Optional[np.ndarray]]] = {}
-                run = t1 - t0
-                for slot in slots:
-                    rows: "List[Optional[np.ndarray]] | np.ndarray" = []
-                    # Every stripe stores a full-width row: the chunk is
-                    # one (run, width) block of the shard.
-                    contiguous = all(
-                        not geometry.is_virtual(t, slot)
-                        and geometry.stored_size(t, slot)
-                        == geometry.widths[t]
-                        == width
-                        for t in range(t0, t1)
-                    )
-                    if slot in views and contiguous:
-                        cursor = cursors[slot]
-                        rows = views[slot][
-                            cursor : cursor + run * width
-                        ].reshape(run, width)
-                        cursors[slot] = cursor + run * width
+    bufset = _ShardBufferSet(min(chunk_stripes, geometry.stripes), width)
+    handles: Dict[int, object] = {}
+    views: Dict[int, np.ndarray] = {}
+    cursors: Dict[int, int] = {}
+    for slot in slots:
+        source = sources[slot]
+        if isinstance(source, (str, os.PathLike)):
+            handles[slot] = stack.enter_context(open(source, "rb"))
+        elif hasattr(source, "readinto") or hasattr(source, "read"):
+            handles[slot] = source
+        else:
+            view = np.frombuffer(memoryview(source).cast("B"), dtype=np.uint8)
+            expected = geometry.shard_size(slot)
+            if view.size != expected:
+                raise PipelineError(
+                    f"shard for slot {slot} holds {view.size} bytes,"
+                    f" expected {expected}"
+                )
+            views[slot] = view
+            cursors[slot] = 0
+    for t0 in range(0, geometry.stripes, chunk_stripes):
+        t1 = min(t0 + chunk_stripes, geometry.stripes)
+        bufset.pooled = True
+        rows_by_slot: Dict[int, Sequence[Optional[np.ndarray]]] = {}
+        run = t1 - t0
+        for slot in slots:
+            rows: "List[Optional[np.ndarray]] | np.ndarray" = []
+            # Every stripe stores a full-width row: the chunk is one
+            # (run, width) block of the shard.
+            contiguous = all(
+                not geometry.is_virtual(t, slot)
+                and geometry.stored_size(t, slot) == geometry.widths[t] == width
+                for t in range(t0, t1)
+            )
+            if slot in views and contiguous:
+                cursor = cursors[slot]
+                rows = views[slot][cursor : cursor + run * width].reshape(
+                    run, width
+                )
+                cursors[slot] = cursor + run * width
+                bufset.pooled = False
+            elif slot in views:
+                view = views[slot]
+                cursor = cursors[slot]
+                for i, t in enumerate(range(t0, t1)):
+                    if geometry.is_virtual(t, slot):
+                        rows.append(None)
+                        continue
+                    size = geometry.stored_size(t, slot)
+                    stripe_width = geometry.widths[t]
+                    if size == stripe_width:
+                        rows.append(view[cursor : cursor + size])
                         bufset.pooled = False
-                    elif slot in views:
-                        view = views[slot]
-                        cursor = cursors[slot]
-                        for i, t in enumerate(range(t0, t1)):
-                            if geometry.is_virtual(t, slot):
-                                rows.append(None)
-                                continue
-                            size = geometry.stored_size(t, slot)
-                            stripe_width = geometry.widths[t]
-                            if size == stripe_width:
-                                rows.append(view[cursor : cursor + size])
-                                bufset.pooled = False
-                            else:
-                                # Short stored row: stage it padded.
-                                buffer = bufset.slot_buffer(slot)
-                                row = buffer[
-                                    i * width : i * width + stripe_width
-                                ]
-                                row[:size] = view[cursor : cursor + size]
-                                row[size:] = 0
-                                rows.append(row)
-                            cursor += size
-                        cursors[slot] = cursor
                     else:
-                        handle = handles[slot]
+                        # Short stored row: stage it padded.
                         buffer = bufset.slot_buffer(slot)
-                        if contiguous:
-                            flat = buffer[: run * width]
-                            _read_exact(handle, memoryview(flat), slot)
-                            rows = flat.reshape(run, width)
-                        else:
-                            for i, t in enumerate(range(t0, t1)):
-                                if geometry.is_virtual(t, slot):
-                                    rows.append(None)
-                                    continue
-                                size = geometry.stored_size(t, slot)
-                                stripe_width = geometry.widths[t]
-                                row = buffer[
-                                    i * width : i * width + stripe_width
-                                ]
-                                if size:
-                                    _read_exact(
-                                        handle, memoryview(row[:size]), slot
-                                    )
-                                row[size:] = 0
-                                rows.append(row)
-                    rows_by_slot[slot] = rows
-                if not _put(work_q, (t0, t1, rows_by_slot, bufset)):
-                    return
-        except Exception as exc:
-            errors.append(exc)
-            stop.set()
-        finally:
-            for handle in opened:
-                handle.close()
-            _put(work_q, None)
-
-    def writer() -> None:
-        handle = None
-        close = False
-        try:
-            if sink is None:
-                pass
-            elif isinstance(sink, (str, os.PathLike)):
-                handle = open(sink, "wb")
-                close = True
+                        row = buffer[i * width : i * width + stripe_width]
+                        row[:size] = view[cursor : cursor + size]
+                        row[size:] = 0
+                        rows.append(row)
+                    cursor += size
+                cursors[slot] = cursor
             else:
-                handle = sink
-            while True:
-                try:
-                    item = write_q.get(timeout=_STREAM_POLL_SECONDS)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                if item is None:
-                    return
-                payloads, bufset = item
-                if handle is not None:
-                    for payload in payloads:
-                        handle.write(memoryview(payload))
-                # The payloads may be views into the buffer set; only
-                # now is it safe to hand the memory back to the reader.
-                free_sets.put(bufset)
-        except Exception as exc:
-            errors.append(exc)
-            stop.set()
-            while True:
-                try:
-                    item = write_q.get_nowait()
-                except queue.Empty:
-                    return
-                if item is None:
-                    return
-                free_sets.put(item[1])
-        finally:
-            if close and handle is not None:
-                handle.close()
-
-    start_wall = time_module.perf_counter()
-    rebuild_seconds = 0.0
-    read_wait = 0.0
-    write_wait = 0.0
-    stripes = 0
-    chunks = 0
-    emitted_bytes = 0
-
-    reader_thread = threading.Thread(
-        target=reader, name="repro-repair-reader", daemon=True
-    )
-    writer_thread = threading.Thread(
-        target=writer, name="repro-repair-writer", daemon=True
-    )
-    reader_thread.start()
-    writer_thread.start()
-    try:
-        while True:
-            t0 = time_module.perf_counter()
-            item = None
-            while True:
-                try:
-                    item = work_q.get(timeout=_STREAM_POLL_SECONDS)
-                    break
-                except queue.Empty:
-                    if stop.is_set():
-                        break
-            read_wait += time_module.perf_counter() - t0
-            if item is None:
-                break
-            lo, hi, rows_by_slot, bufset = item
-            t0 = time_module.perf_counter()
-            payloads = rebuild_chunk(lo, hi, rows_by_slot, bufset)
-            rebuild_seconds += time_module.perf_counter() - t0
-            chunks += 1
-            stripes += hi - lo
-            emitted_bytes += sum(int(np.asarray(p).size) for p in payloads)
-            t0 = time_module.perf_counter()
-            if not _put(write_q, (payloads, bufset)):
-                break
-            write_wait += time_module.perf_counter() - t0
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        _put(write_q, None)
-        if stop.is_set():
-            # Unstick a reader blocked on the buffer-set pool.
-            free_sets.put(_ShardBufferSet(1, 1))
-        reader_thread.join()
-        writer_thread.join()
-    wall = time_module.perf_counter() - start_wall
-    if errors:
-        first = errors[0]
-        if isinstance(first, PipelineError):
-            raise first
-        raise PipelineError(
-            f"streaming reconstruction of {name!r} failed: "
-            f"{type(first).__name__}: {first}"
-        ) from first
-    return (
-        stripes,
-        chunks,
-        emitted_bytes,
-        wall,
-        rebuild_seconds,
-        read_wait,
-        write_wait,
-    )
+                handle = handles[slot]
+                buffer = bufset.slot_buffer(slot)
+                if contiguous:
+                    flat = buffer[: run * width]
+                    _read_exact(handle, memoryview(flat), slot)
+                    rows = flat.reshape(run, width)
+                else:
+                    for i, t in enumerate(range(t0, t1)):
+                        if geometry.is_virtual(t, slot):
+                            rows.append(None)
+                            continue
+                        size = geometry.stored_size(t, slot)
+                        stripe_width = geometry.widths[t]
+                        row = buffer[i * width : i * width + stripe_width]
+                        if size:
+                            _read_exact(handle, memoryview(row[:size]), slot)
+                        row[size:] = 0
+                        rows.append(row)
+            rows_by_slot[slot] = rows
+        yield t0, t1, rows_by_slot, bufset
 
 
 @dataclass
@@ -1130,6 +910,9 @@ class StreamRepairResult:
     ``bytes_read`` is the plan-metered repair traffic (virtual-slot
     reads are free), the quantity the paper's cross-rack measurements
     aggregate; ``rebuilt_bytes`` is the failed shard's stored size.
+    ``wall_seconds`` splits into ``repair_seconds`` (rebuilding and
+    verifying chunks), ``read_wait_seconds`` (staging survivor rows
+    from the sources) and ``write_wait_seconds`` (sink writes).
     """
 
     stripes: int
@@ -1145,7 +928,7 @@ class StreamRepairResult:
 
     @property
     def occupancy(self) -> float:
-        """Fraction of wall time spent inside the repair kernels."""
+        """Fraction of wall time spent rebuilding and verifying chunks."""
         if self.wall_seconds <= 0:
             return 0.0
         return min(self.repair_seconds / self.wall_seconds, 1.0)
@@ -1153,7 +936,12 @@ class StreamRepairResult:
 
 @dataclass
 class StreamDecodeResult:
-    """Outcome of :func:`decode_file` (streaming degraded read)."""
+    """Outcome of :func:`decode_file` (streaming degraded read).
+
+    ``wall_seconds`` splits into ``decode_seconds`` (decoding and
+    verifying chunks), ``read_wait_seconds`` (staging survivor rows
+    from the sources) and ``write_wait_seconds`` (sink writes).
+    """
 
     stripes: int
     chunks: int
@@ -1173,27 +961,6 @@ class StreamDecodeResult:
         return min(self.decode_seconds / self.wall_seconds, 1.0)
 
 
-def _stream_geometry_args(
-    code: ErasureCode,
-    block_size: int,
-    file_size: int,
-    name: str,
-    chunk_stripes: Optional[int],
-    queue_depth: int,
-) -> Tuple[_ShardGeometry, int]:
-    if queue_depth < 1:
-        raise EncodingError(f"queue depth must be >= 1, got {queue_depth}")
-    geometry = _ShardGeometry(code, name, file_size, block_size)
-    if chunk_stripes is None:
-        stripe_bytes = code.k * block_size
-        chunk_stripes = max(1, -(-STREAM_CHUNK_TARGET_BYTES // stripe_bytes))
-    if chunk_stripes < 1:
-        raise EncodingError(
-            f"chunk_stripes must be >= 1, got {chunk_stripes}"
-        )
-    return geometry, chunk_stripes
-
-
 def repair_stream(
     code: ErasureCode,
     sources: Mapping[int, object],
@@ -1205,7 +972,6 @@ def repair_stream(
     name: str = "file",
     checksums: Optional[Mapping[int, Sequence[int]]] = None,
     chunk_stripes: Optional[int] = None,
-    queue_depth: int = 2,
 ) -> StreamRepairResult:
     """Rebuild one failed shard from survivor shard streams.
 
@@ -1217,18 +983,19 @@ def repair_stream(
     :meth:`~repro.striping.codec.StripeCodec.repair_blocks` path
     produces for the same stripes.
 
-    Reads, repair kernels and writes overlap via bounded queues, and
-    full-size uniform chunks reuse a fused repair executor bound to the
-    pooled buffers -- the steady-state chunk cost is one native call.
+    Each chunk of stripes is read, rebuilt and written before the next
+    is read, on the calling thread, and full-size uniform chunks reuse
+    a fused repair executor bound to the one set of chunk buffers --
+    the steady-state chunk cost is one native call.  A short or failing
+    source or sink raises :class:`~repro.errors.PipelineError`.
 
     ``checksums`` (slot -> per-stripe CRC32C of stored bytes) arms the
     optimistic integrity loop: every rebuilt unit is verified, and a
     mismatch triggers survivor checksumming, quarantine-and-retry, or
     :class:`~repro.errors.CorruptionError` if the survivors all verify.
     """
-    geometry, chunk_stripes = _stream_geometry_args(
-        code, block_size, file_size, name, chunk_stripes, queue_depth
-    )
+    geometry = _ShardGeometry(code, name, file_size, block_size)
+    chunk_stripes = _chunk_stripes(code, block_size, chunk_stripes)
     failed_slot = code.validate_node_index(failed_slot)
     if failed_slot in {int(slot) for slot in sources}:
         raise RepairError(
@@ -1239,7 +1006,8 @@ def repair_stream(
     )
     m = metrics()
 
-    def rebuild_chunk(t0, t1, rows_by_slot, bufset):
+    def rebuild_chunk(chunk) -> List[np.ndarray]:
+        t0, t1, rows_by_slot, bufset = chunk
         payloads: List[np.ndarray] = []
         uniform_until = min(t1, geometry.uniform_stripes)
         if uniform_until > t0:
@@ -1279,19 +1047,15 @@ def repair_stream(
         return payloads
 
     with span("pipeline.repair_stream"):
-        stripes, chunks, emitted, wall, rebuild_s, read_wait, write_wait = (
-            _stream_shards(
-                geometry,
-                sources,
-                sink,
-                name,
-                chunk_stripes,
-                queue_depth,
-                rebuild_chunk,
-            )
+        chunks, emitted, wall, rebuild_s, read_wait, write_wait = _run_stream(
+            "reconstruction",
+            name,
+            sink,
+            lambda stack: _shard_chunks(stack, geometry, sources, chunk_stripes),
+            rebuild_chunk,
         )
     result = StreamRepairResult(
-        stripes=stripes,
+        stripes=geometry.stripes,
         chunks=chunks,
         rebuilt_bytes=emitted,
         bytes_read=rebuilder.bytes_read,
@@ -1323,7 +1087,6 @@ def decode_file(
     name: str = "file",
     checksums: Optional[Mapping[int, Sequence[int]]] = None,
     chunk_stripes: Optional[int] = None,
-    queue_depth: int = 2,
 ) -> StreamDecodeResult:
     """Streaming degraded read: recover the original file bytes.
 
@@ -1335,10 +1098,15 @@ def decode_file(
     restores.  ``checksums`` arms per-stripe verification of the
     decoded data units with the same quarantine-and-retry semantics as
     :func:`repair_stream`.
+
+    Like :func:`repair_stream`, each chunk of stripes is read, decoded
+    and written before the next is read, on the calling thread; erased
+    data rows of a uniform chunk come from one compiled kernel call and
+    surviving data rows go to the sink as views.  A short or failing
+    source or sink raises :class:`~repro.errors.PipelineError`.
     """
-    geometry, chunk_stripes = _stream_geometry_args(
-        code, block_size, file_size, name, chunk_stripes, queue_depth
-    )
+    geometry = _ShardGeometry(code, name, file_size, block_size)
+    chunk_stripes = _chunk_stripes(code, block_size, chunk_stripes)
     checks = {
         int(slot): list(values) for slot, values in (checksums or {}).items()
     }
@@ -1414,7 +1182,8 @@ def decode_file(
                 data[slot] = decoded[:, i]
         return data
 
-    def rebuild_chunk(t0, t1, rows_by_slot, bufset):
+    def rebuild_chunk(chunk) -> List[np.ndarray]:
+        t0, t1, rows_by_slot, _ = chunk
         payloads: List[np.ndarray] = []
         uniform_until = min(t1, geometry.uniform_stripes)
         if uniform_until > t0:
@@ -1467,28 +1236,18 @@ def decode_file(
         return payloads
 
     with span("pipeline.decode_file"):
-        stripes, chunks, emitted, wall, rebuild_s, read_wait, write_wait = (
-            _stream_shards(
-                geometry,
-                sources,
-                sink,
-                name,
-                chunk_stripes,
-                queue_depth,
-                rebuild_chunk,
-            )
+        chunks, emitted, wall, rebuild_s, read_wait, write_wait = _run_stream(
+            "reconstruction",
+            name,
+            sink,
+            lambda stack: _shard_chunks(stack, geometry, sources, chunk_stripes),
+            rebuild_chunk,
         )
-    slots = [int(slot) for slot in sources]
-    bytes_read = sum(
-        geometry.stored_size(t, slot)
-        for slot in slots
-        for t in range(geometry.stripes)
-    )
     result = StreamDecodeResult(
-        stripes=stripes,
+        stripes=geometry.stripes,
         chunks=chunks,
         data_bytes=emitted,
-        bytes_read=bytes_read,
+        bytes_read=sum(geometry.shard_size(int(slot)) for slot in sources),
         crc_mismatches=state["crc_mismatches"],
         quarantined=tuple(quarantined),
         wall_seconds=wall,

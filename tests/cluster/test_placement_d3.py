@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import (
@@ -163,6 +165,69 @@ class TestReplacement:
         fallback = policy.replacement_node(exclude + spares)
         assert not policy.is_spare(fallback)
         assert fallback not in exclude
+
+    @staticmethod
+    def _pick_loop(policy, exclude):
+        """The rack-by-rack scan ``_pick`` vectorises: the test oracle."""
+        num_racks = policy.topology.num_racks
+        npr = policy.topology.nodes_per_rack
+        used_racks = {n // npr for n in exclude}
+        best = -1
+        for rack in range(num_racks):
+            if rack in used_racks:
+                continue
+            if best < 0 or (
+                (policy._load[rack], policy._rack_rank[rack])
+                < (policy._load[best], policy._rack_rank[best])
+            ):
+                best = rack
+        if best >= 0:
+            node, steps = policy._rotate(best, exclude)
+            return node, best, steps
+        ranked = sorted(
+            range(num_racks),
+            key=lambda r: (int(policy._load[r]), int(policy._rack_rank[r])),
+        )
+        if policy.spares_per_rack:
+            for rack in ranked:
+                node, steps = policy._rotate(rack, exclude)
+                if node is not None:
+                    return node, rack, steps
+        for rack in ranked:
+            for offset in policy._all_order[rack]:
+                node = rack * npr + int(offset)
+                if node not in exclude:
+                    return node, rack, 0
+        raise PlacementError("no node available for replacement")
+
+    @given(
+        seed=st.integers(0, 2**16),
+        spares=st.integers(0, 2),
+        loads=st.lists(st.integers(-3, 6), min_size=12, max_size=12),
+        cursors=st.lists(st.integers(0, 4), min_size=12, max_size=12),
+        exclude=st.sets(st.integers(0, 59), max_size=40),
+        cover_every_rack=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pick_matches_rack_scan(
+        self, seed, spares, loads, cursors, exclude, cover_every_rack
+    ):
+        topo = Topology(num_racks=12, nodes_per_rack=5)
+        policy = _policy(topo, seed=seed, spares=spares)
+        policy._load[:] = loads
+        policy._dest_cursor[:] = [
+            c % policy._dest_order.shape[1] for c in cursors
+        ]
+        if cover_every_rack:
+            # No eligible rack: the spare, then the any-node, fallback.
+            exclude |= {r * topo.nodes_per_rack for r in range(12)}
+        try:
+            expected = self._pick_loop(policy, exclude)
+        except PlacementError:
+            with pytest.raises(PlacementError):
+                policy._pick(exclude)
+            return
+        assert policy._pick(exclude) == expected
 
     def test_everything_excluded_raises(self):
         topo = Topology(num_racks=2, nodes_per_rack=2)

@@ -1,7 +1,7 @@
-"""Overlapped streaming encode: byte-identity, accounting, failures.
+"""Streaming encode: byte-identity, accounting, failures.
 
-:func:`repro.striping.pipeline.encode_stream` pipelines reads, encodes
-and writes through bounded queues.  Whatever the threads do, the parity
+:func:`repro.striping.pipeline.encode_stream` reads, encodes and writes
+one stripe-aligned chunk at a time.  Whatever the chunking, the parity
 bytes written to the sink must equal what the in-memory
 :func:`encode_file` path computes for the same bytes -- including
 ragged tails, sub-stripe files and the empty file -- and errors in any
@@ -163,8 +163,6 @@ def test_writer_error_propagates():
 def test_invalid_parameters_rejected():
     with pytest.raises(EncodingError):
         encode_stream(CODE, b"", None, 0)
-    with pytest.raises(EncodingError):
-        encode_stream(CODE, b"", None, BLOCK, queue_depth=0)
     with pytest.raises(EncodingError):
         encode_stream(CODE, b"", None, BLOCK, chunk_stripes=0)
 

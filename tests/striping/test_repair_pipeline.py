@@ -31,6 +31,7 @@ from repro.striping.layout import group_into_stripes
 from repro.striping.pipeline import (
     CompiledFileRepair,
     decode_file,
+    encode_stream,
     repair_file,
     repair_stream,
 )
@@ -598,3 +599,174 @@ def test_uncorrupted_runs_never_call_the_scalar_oracle(code_name, monkeypatch):
     for name in ("execute_repair", "decode"):
         monkeypatch.setattr(type(code), name, forbidden)
     run_all()
+
+
+def _stream_case(code, tmp_path, kind):
+    """A file of 6 uniform stripes plus a ragged tail, its shards, its
+    stripe-major parity bytes and a ``source(slot)`` opener of ``kind``."""
+    rng = np.random.default_rng(31)
+    block_size = 96
+    file_size = code.k * block_size * 6 + 50
+    data = rng.integers(0, 256, size=file_size, dtype=np.uint8)
+    _, per_stripe, shards, checksums = _materialise(code, "f", data, block_size)
+    parity = b"".join(
+        slot_map[slot].payload.tobytes()
+        for slot_map in per_stripe
+        for slot in range(code.k, code.n)
+    )
+
+    def source(slot, payload=None):
+        payload = shards[slot] if payload is None else payload
+        if kind == "bytes":
+            return payload
+        if kind == "file":
+            return io.BytesIO(payload)
+        path = tmp_path / f"src_{slot}_{len(payload)}"
+        path.write_bytes(payload)
+        return str(path)
+
+    return data, block_size, shards, checksums, parity, source
+
+
+@pytest.mark.parametrize("kind", ["bytes", "path", "file"])
+@pytest.mark.parametrize("code_name", ["rs", "piggyback"])
+def test_streams_run_inline_without_threads(
+    code_name, kind, tmp_path, monkeypatch
+):
+    """Streamed repair, degraded read and encode start no thread, match
+    the batched codec byte for byte, and bind one repair wave per call."""
+    import threading
+
+    from repro import observability
+
+    def no_threads(self):
+        raise AssertionError("the streaming pipeline started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    code = _CODES[code_name]
+    data, block_size, shards, checksums, parity, source = _stream_case(
+        code, tmp_path, kind
+    )
+    failed = code.k - 1
+    observability.set_enabled(True)
+    observability.reset()
+    try:
+        sink = io.BytesIO()
+        result = repair_stream(
+            code,
+            {s: source(s) for s in range(code.n) if s != failed},
+            sink, block_size, failed, data.size,
+            name="f", checksums=checksums, chunk_stripes=2,
+        )
+        assert sink.getvalue() == shards[failed]
+        assert result.chunks == 4 and result.crc_mismatches == 0
+        registry = observability.get_registry()
+        if kind != "bytes":
+            # One buffer set per call: the wave bound for the first full
+            # chunk is replayed for the other two.
+            assert registry.counter_value("pipeline.repair.bound_waves") == 1
+            assert (
+                registry.counter_value("pipeline.repair.bound_wave_reuses")
+                == 2
+            )
+    finally:
+        observability.set_enabled(None)
+
+    sink = io.BytesIO()
+    decode_file(
+        code,
+        {s: source(s) for s in range(code.n) if s not in (0, code.k)},
+        sink, block_size, data.size,
+        name="f", checksums=checksums, chunk_stripes=2,
+    )
+    assert sink.getvalue() == data.tobytes()
+
+    encoded = source(-1, data.tobytes())
+    sink = io.BytesIO()
+    encode_stream(code, encoded, sink, block_size, chunk_stripes=2)
+    assert sink.getvalue() == parity
+
+
+class _FailingReader(io.RawIOBase):
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        raise OSError("disk on fire")
+
+
+class _FailingSink:
+    def write(self, data):
+        raise OSError("sink full")
+
+
+@pytest.mark.parametrize(
+    "op,fault",
+    [
+        ("repair", "short_source"),
+        ("repair", "raising_source"),
+        ("repair", "raising_sink"),
+        ("decode", "short_source"),
+        ("decode", "raising_source"),
+        ("decode", "raising_sink"),
+        ("encode", "raising_source"),
+        ("encode", "raising_sink"),
+    ],
+)
+def test_stream_failures_raise_pipeline_error_and_close_files(
+    op, fault, tmp_path, monkeypatch
+):
+    """Source and sink failures surface as PipelineError -- wrapped as
+    "streaming ... failed" unless they already were one -- and every
+    file the call opened is closed afterwards."""
+    from repro.striping import pipeline
+
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(pipeline, "open", tracking_open, raising=False)
+    code = _CODES["rs"]
+    data, block_size, shards, checksums, _, source = _stream_case(
+        code, tmp_path, "path"
+    )
+    sink = _FailingSink() if fault == "raising_sink" else str(tmp_path / "out")
+    if op == "encode":
+        encoded = (
+            _FailingReader()
+            if fault == "raising_source"
+            else source(-1, data.tobytes())
+        )
+        call = lambda: encode_stream(
+            code, encoded, sink, block_size, name="f", chunk_stripes=2
+        )
+        what = "encode"
+    else:
+        lost = (2,) if op == "repair" else (0, code.k)
+        sources = {s: source(s) for s in range(code.n) if s not in lost}
+        if fault == "short_source":
+            sources[1] = source(1, shards[1][:-10])
+        elif fault == "raising_source":
+            sources[1] = _FailingReader()
+        if op == "repair":
+            call = lambda: repair_stream(
+                code, sources, sink, block_size, 2, data.size,
+                name="f", checksums=checksums, chunk_stripes=2,
+            )
+        else:
+            call = lambda: decode_file(
+                code, sources, sink, block_size, data.size,
+                name="f", checksums=checksums, chunk_stripes=2,
+            )
+        what = "reconstruction"
+    if fault == "short_source":
+        match = "survivor source for slot 1 ended after"
+    else:
+        cause = "disk on fire" if fault == "raising_source" else "sink full"
+        match = f"streaming {what} of 'f' failed: OSError: {cause}"
+    with pytest.raises(PipelineError, match=match):
+        call()
+    assert opened and all(handle.closed for handle in opened)
