@@ -60,18 +60,17 @@ PR6_RECORDED_DAYS_PER_S = 70.9
 #: Was 5.0 against best-of timing; re-keyed to the (stricter) median.
 SPEEDUP_FLOOR = 4.0
 
-#: Acceptance floor: sharded epoch engine vs the same-machine serial
-#: oracle median at steady state, with zero worker processes.  Worker
-#: parallelism on multi-core runners stacks on top of this.
+#: Acceptance floor: sharded epoch engine (one in-process shard) vs the
+#: same-machine serial oracle median at steady state.
 SHARDED_SPEEDUP_FLOOR = 1.3
 
 #: Per-session wall-clock budget for the ten-cluster-year run.
 SESSION_BUDGET_S = 45.0
 
 #: Acceptance floor for throttled recovery: the repair-policy DES path
-#: (coordinator-driven, zero workers) vs the throttled serial oracle.
-#: The scheduler runs in both, so this bounds the sharded engine's
-#: event-loop overhead, not parallelism.
+#: (coordinator-driven) vs the throttled serial oracle.  The scheduler
+#: runs in both, so this bounds the sharded engine's event-loop
+#: overhead.
 THROTTLED_SPEEDUP_FLOOR = 0.5
 
 
@@ -131,7 +130,6 @@ def test_sharded_simulator_throughput():
         "days": report["days"],
         "num_nodes": report["num_nodes"],
         "rounds": report["rounds"],
-        "workers": report["workers"],
         "num_shards": report["num_shards"],
         "mean_s": report["sharded"]["mean_s"],
         "median_s": report["sharded"]["median_s"],
@@ -141,7 +139,6 @@ def test_sharded_simulator_throughput():
         "oracle_days_per_s": round(report["oracle"]["days_per_s"], 1),
         "speedup_vs_serial_oracle": round(report["speedup_median"], 2),
         "trajectories_identical": report["identical"],
-        "multicore_target_speedup": 4.0,
     }
     emit(render_kv(
         "sharded epoch engine vs serial oracle "
@@ -172,7 +169,6 @@ def test_throttled_recovery_throughput():
         "days": report["days"],
         "num_nodes": report["num_nodes"],
         "rounds": report["rounds"],
-        "workers": report["workers"],
         "num_shards": report["num_shards"],
         "mean_s": report["sharded"]["mean_s"],
         "median_s": report["sharded"]["median_s"],

@@ -324,8 +324,7 @@ def _simulation_fingerprint(result) -> tuple:
 
 def run_simulator_comparison(
     rounds: Optional[int] = None,
-    workers: Optional[int] = None,
-    num_shards: Optional[int] = None,
+    num_shards: int = 1,
     config=None,
 ) -> Dict[str, object]:
     """Time the sharded epoch engine against the serial oracle.
@@ -351,12 +350,9 @@ def run_simulator_comparison(
         state["oracle"] = WarehouseSimulation(config).run()
 
     def run_sharded():
-        simulation = ShardedSimulation(
-            config, num_shards=num_shards, workers=workers
-        )
-        state["workers"] = simulation.num_workers
-        state["num_shards"] = simulation.num_shards
-        state["sharded"] = simulation.run()
+        state["sharded"] = ShardedSimulation(
+            config, num_shards=num_shards
+        ).run()
 
     run_oracle()  # warm plan/layout caches outside the clock
     oracle_stats = time_workload(run_oracle, rounds)
@@ -376,8 +372,7 @@ def run_simulator_comparison(
         "code": config.code_name,
         "destination_draws": config.destination_draws,
         "rounds": rounds,
-        "workers": state["workers"],
-        "num_shards": state["num_shards"],
+        "num_shards": num_shards,
         "oracle": dict(oracle_stats, days_per_s=oracle_days_per_s),
         "sharded": dict(sharded_stats, days_per_s=sharded_days_per_s),
         "speedup_median": sharded_days_per_s / oracle_days_per_s,
@@ -420,9 +415,8 @@ def run_throttled_comparison(
 ) -> Dict[str, object]:
     """Time throttled-recovery (repair-policy DES) vs the serial oracle.
 
-    The sharded engine runs this coordinator-driven (worker processes
-    degrade away), so the measurement is the scheduler's event-loop
-    overhead on top of the epoch engine, not parallel speedup.
+    The sharded engine runs this coordinator-driven, so the measurement
+    is the scheduler's event-loop overhead on top of the epoch engine.
     """
     return run_simulator_comparison(
         rounds=rounds, config=throttled_bench_config()

@@ -198,7 +198,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result = ShardedSimulation(
             config,
             num_shards=args.shards,
-            workers=args.workers,
             checkpoint_path=args.checkpoint,
             checkpoint_every_days=args.checkpoint_every_days,
         ).run()
@@ -602,7 +601,7 @@ def _cmd_bench_simulator(args: argparse.Namespace) -> int:
 
     meta = bench_meta()
     report = run_simulator_comparison(
-        rounds=args.rounds, workers=args.workers, num_shards=args.shards
+        rounds=args.rounds, num_shards=args.shards
     )
     if args.json:
         import json
@@ -623,13 +622,11 @@ def _cmd_bench_simulator(args: argparse.Namespace) -> int:
             "engine": "serial oracle",
             "median s": round(report["oracle"]["median_s"], 3),
             "days/s": round(report["oracle"]["days_per_s"], 1),
-            "workers": "-",
         },
         {
             "engine": f"sharded x{report['num_shards']}",
             "median s": round(report["sharded"]["median_s"], 3),
             "days/s": round(report["sharded"]["days_per_s"], 1),
-            "workers": report["workers"] or "serial",
         },
     ]
     print(render_table(rows, title="simulator engines (median of rounds)"))
@@ -821,17 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
         "epoch engine (identical trajectories under hashed draws)",
     )
     sim_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --engine sharded (default: auto via "
-        "REPRO_PARALLEL / CPU count)",
-    )
-    sim_parser.add_argument(
         "--shards",
         type=int,
-        default=None,
-        help="stripe shards for --engine sharded (default: max(workers, 1))",
+        default=1,
+        help="stripe shards for --engine sharded, all run in-process "
+        "(default: 1)",
     )
     sim_parser.add_argument(
         "--checkpoint",
@@ -957,16 +948,11 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle (simulated days/s) instead of the codec backends",
     )
     bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --simulator (default: auto)",
-    )
-    bench_parser.add_argument(
         "--shards",
         type=int,
-        default=None,
-        help="stripe shards for --simulator (default: max(workers, 1))",
+        default=1,
+        help="stripe shards for --simulator, all run in-process "
+        "(default: 1)",
     )
     bench_parser.set_defaults(fn=_cmd_bench)
 

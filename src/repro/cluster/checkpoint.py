@@ -15,9 +15,8 @@ needs to continue a run mid-flight with a bit-identical trajectory:
 
 What it deliberately does *not* store: the failure timeline (a pure
 function of the config, re-resolved on resume), unit sizes' provenance
-(stored verbatim per shard), the corrupt-unit mask (re-derived from the
-chaos config), and the worker count (a runtime choice -- a snapshot
-taken under N workers resumes under M, or serial, identically).
+(stored verbatim per shard), and the corrupt-unit mask (re-derived
+from the chaos config).
 
 Format: a single ``np.savez`` archive -- raw arrays keyed
 ``shard{i}_{name}`` plus one JSON document under ``meta`` for
@@ -105,8 +104,8 @@ class SimulationCheckpoint:
 # ----------------------------------------------------------------------
 #
 # Integer-keyed dicts are encoded as sorted (key, value) pair lists so
-# the same structures survive both pickle (worker messages) and JSON
-# (the checkpoint meta document, where dict keys must be strings).
+# the same structures survive JSON (the checkpoint meta document, where
+# dict keys must be strings).
 
 
 def meter_state(meter: TrafficMeter) -> Dict[str, object]:

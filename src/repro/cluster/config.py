@@ -164,7 +164,7 @@ class ClusterConfig:
         draw depends only on the unit and the flag event, not on how
         many draws other stripes consumed before it, which is what
         lets :class:`~repro.cluster.shard.ShardedSimulation` partition
-        a run across shards/workers and still match the serial oracle
+        a run across shards and still match the serial oracle
         bit-for-bit.  Both modes are uniform over the same candidate
         sets; they just replay *different* (equally valid) random
         choices, so summary statistics are equivalent but trajectories

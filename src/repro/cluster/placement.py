@@ -49,7 +49,7 @@ def destination_entropy(seed_sequence: np.random.SeedSequence) -> int:
     Derived from the recovery seed via ``generate_state`` (a pure
     function of the SeedSequence -- it does not consume anything the
     recovery Generator later draws), so both simulation engines and
-    every shard worker compute the identical key from the config seed.
+    every shard compute the identical key from the config seed.
     """
     words = seed_sequence.generate_state(2, dtype=np.uint32)
     return int(words[0]) << 32 | int(words[1])

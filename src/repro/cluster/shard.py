@@ -27,34 +27,31 @@ observations:
    integer sum, so merging shard meters and stats reproduces the serial
    result *exactly* -- same bytes, same series, same histograms.
 
+Every shard runs in the calling process; one epoch loop applies each
+day's ops to the shards in turn.
+
 Exactness contract (tested in ``tests/cluster/test_shard.py``):
 
 - ``destination_draws="stream"`` (the historical semantics): a single
-  serial shard replays the shared-rng draw order and matches
-  ``WarehouseSimulation`` bit-for-bit.  Multiple shards/workers are a
+  shard replays the shared-rng draw order and matches
+  ``WarehouseSimulation`` bit-for-bit.  Multiple shards are a
   :class:`ConfigError` -- stream draws are order-dependent by
   definition.
 - ``destination_draws="hashed"``: destinations are a pure function of
   ``(unit id, flag ordinal, seed)``, so the run partitions freely;
-  serial, any shard count, and any worker count all equal the
-  ``WarehouseSimulation`` oracle bit-for-bit under the same config.
+  any shard count equals the ``WarehouseSimulation`` oracle
+  bit-for-bit under the same config.
 
 Checkpointing (:mod:`repro.cluster.checkpoint`) snapshots shard states,
 rng states, and the epoch cursor at day boundaries; a resumed run
-continues the identical trajectory, and a killed worker's shards replay
-from the last snapshot (or from the initial placement) without
-disturbing the other workers.
+continues the identical trajectory.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import time as time_module
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import multiprocessing
 
 import numpy as np
 
@@ -85,8 +82,7 @@ from repro.errors import (
     RepairError,
     SimulationError,
 )
-from repro.observability import get_logger, metrics, span
-from repro.parallel import decide_parallel
+from repro.observability import metrics, span
 
 #: Timeline op kinds, in the exact order the oracle's event queue
 #: produces them.  Reads carry the client node in ``nodes``, the data
@@ -297,8 +293,7 @@ def stripe_shard_ids(num_stripes: int, num_shards: int) -> np.ndarray:
     Hash-based rather than contiguous ranges so correlated placement
     structure (consecutive stripes share rng history) spreads across
     shards, and stable in the sense that it depends only on the stripe
-    id and the shard count -- not on worker count, epoch, or any runtime
-    state.
+    id and the shard count -- not on the epoch or any runtime state.
     """
     hashes = _splitmix64(np.arange(num_stripes, dtype=np.uint64))
     return (hashes % np.uint64(num_shards)).astype(np.int64)
@@ -1046,202 +1041,6 @@ def _decode_node_lists(
     return lists
 
 
-def _build_shard(
-    state: Dict[str, object],
-    width: int,
-    num_nodes: int,
-    code: ErasureCode,
-    policy: PlacementPolicy,
-    topology: Topology,
-    destination_draws: str,
-    entropy: Optional[int],
-    record_transfers: bool,
-    is_up: Optional[np.ndarray],
-    parallel_repair: bool = False,
-) -> ShardState:
-    """Construct a :class:`ShardState` from an initial payload or a
-    restored snapshot (snapshots carry the extra keys)."""
-    from repro.cluster.checkpoint import (
-        restore_meter,
-        restore_read_stats,
-        restore_stats,
-    )
-
-    node_lists = None
-    if "list_nodes" in state:
-        node_lists = _decode_node_lists(
-            state["list_nodes"], state["list_counts"], state["list_uids"]
-        )
-    meter = (
-        restore_meter(topology, state["meter"], record_transfers)
-        if "meter" in state
-        else TrafficMeter(topology, record_transfers=record_transfers)
-    )
-    stats = restore_stats(state["stats"]) if "stats" in state else None
-    read_stats = (
-        restore_read_stats(state["read_stats"])
-        if "read_stats" in state
-        else None
-    )
-    return ShardState(
-        shard_id=int(state["shard_id"]),
-        stripe_ids=state["stripe_ids"],
-        placement=state["placement"],
-        unit_sizes=state["unit_sizes"],
-        width=width,
-        num_nodes=num_nodes,
-        code=code,
-        policy=policy,
-        meter=meter,
-        destination_draws=destination_draws,
-        entropy=entropy,
-        parallel_repair=parallel_repair,
-        corrupt_rows=state.get("corrupt"),
-        missing=state.get("missing"),
-        node_lists=node_lists,
-        is_up=is_up,
-        stats=stats,
-        read_stats=read_stats,
-    )
-
-
-# ----------------------------------------------------------------------
-# Worker processes
-# ----------------------------------------------------------------------
-
-
-def _shard_worker_main(conn) -> None:
-    """Stateful shard worker: owns its shards across all epochs.
-
-    Messages: ``("init", params, states)`` builds the shards;
-    ``("epoch", e, kinds, nodes, times, ordinals, extras)`` applies one
-    epoch and acks with per-shard recovered counts; ``("collect",)``
-    returns snapshots; ``("finish",)`` returns per-shard
-    meter/stats/read-stats states; ``("stop",)`` exits.  The ``crash``
-    init param (tests only) makes the worker die mid-epoch via
-    ``os._exit`` to exercise replay.
-    """
-    from repro.cluster.checkpoint import (
-        meter_state,
-        read_stats_state,
-        stats_state,
-    )
-
-    shards: List[ShardState] = []
-    crash: Optional[Tuple[int, int]] = None
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        tag = msg[0]
-        if tag == "init":
-            params, states = msg[1], msg[2]
-            topology = Topology(params["num_racks"], params["nodes_per_rack"])
-            code = create_code(params["code_name"], **params["code_params"])
-            policy = make_placement(
-                params["placement_policy"],
-                topology,
-                seed=0,
-                spares_per_rack=params["spares_per_rack"],
-            )
-            shards = [
-                _build_shard(
-                    state,
-                    width=params["width"],
-                    num_nodes=params["num_nodes"],
-                    code=code,
-                    policy=policy,
-                    topology=topology,
-                    destination_draws=params["destination_draws"],
-                    entropy=params["entropy"],
-                    record_transfers=params["record_transfers"],
-                    is_up=params["is_up"],
-                    parallel_repair=params.get("parallel_repair", False),
-                )
-                for state in states
-            ]
-            crash = params.get("crash")
-            conn.send(("ready",))
-        elif tag == "epoch":
-            epoch, kinds, nodes, times, ordinals, extras = msg[1:]
-            recovered = []
-            for index, shard in enumerate(shards):
-                if crash is not None and crash == (epoch, index):
-                    os._exit(23)  # simulated mid-epoch worker death
-                recovered.append(
-                    shard.apply_epoch(kinds, nodes, times, ordinals, extras)
-                )
-                shard.flush_epoch()
-            if crash is not None and crash[0] == epoch:
-                os._exit(23)  # crash index past the last shard: die at end
-            conn.send(("ack", epoch, recovered))
-        elif tag == "collect":
-            conn.send(("state", [shard.state_dict() for shard in shards]))
-        elif tag == "finish":
-            conn.send(
-                (
-                    "result",
-                    [
-                        (
-                            shard.shard_id,
-                            meter_state(shard.meter),
-                            stats_state(shard.stats),
-                            read_stats_state(shard.read_stats),
-                        )
-                        for shard in shards
-                    ],
-                )
-            )
-        elif tag == "stop":
-            return
-        else:  # pragma: no cover - protocol misuse
-            raise SimulationError(f"unknown worker message {tag!r}")
-
-
-class _WorkerHandle:
-    """Coordinator-side handle for one shard worker process."""
-
-    def __init__(self, index: int, shard_indices: List[int]):
-        self.index = index
-        self.shard_indices = shard_indices
-        self.proc: Optional[multiprocessing.Process] = None
-        self.conn = None
-
-    def spawn(self, ctx, params: Dict[str, object], states: List[dict]) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_shard_worker_main, args=(child_conn,), daemon=True
-        )
-        self.proc.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.send(("init", params, states))
-        reply = self.recv()
-        if reply != ("ready",):  # pragma: no cover - protocol misuse
-            raise SimulationError(f"worker {self.index} failed to init: {reply!r}")
-
-    def send(self, msg) -> None:
-        self.conn.send(msg)
-
-    def recv(self):
-        return self.conn.recv()
-
-    def stop(self) -> None:
-        if self.proc is None:
-            return
-        try:
-            self.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=10.0)
-        if self.proc.is_alive():  # pragma: no cover - stuck worker
-            self.proc.terminate()
-            self.proc.join(timeout=10.0)
-        self.conn.close()
-        self.proc = None
-
-
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
@@ -1254,93 +1053,61 @@ class ShardedSimulation:
     ----------
     config:
         The simulation config.  ``destination_draws="hashed"`` is
-        required for more than one shard or any worker processes;
-        ``"stream"`` runs as a single serial shard that replays the
-        historical rng semantics exactly.
+        required for more than one shard; ``"stream"`` runs as a single
+        shard that replays the historical rng semantics exactly.
     num_shards:
-        Stripe partitions.  Defaults to the worker count (or 1).
+        Stripe partitions, all applied in this process (default 1).
     workers:
-        Worker *processes*.  ``0`` forces in-process serial execution
-        (the oracle-equivalent fallback); ``None`` consults
-        ``parallel`` / ``REPRO_PARALLEL`` / the CPU count via
-        :func:`repro.parallel.decide_parallel`.
-    parallel:
-        Explicit override for the auto decision (see
-        :mod:`repro.parallel`).
+        Accepted only as ``None`` or ``0`` for older callers; worker
+        processes were removed, so any other value is a
+        :class:`ConfigError`.
     checkpoint_path, checkpoint_every_days:
         Snapshot destination and cadence (day boundaries).  A path with
         no cadence only writes when :meth:`run` stops early
-        (``stop_after_day``); snapshots also serve as the replay base
-        when a worker dies.
+        (``stop_after_day``).
 
     Read workloads (``reads_per_stripe_per_day > 0``) resolve into the
     timeline up front (the read rng replays the serial workload's draws
     exactly) and execute on the owning shard, so they partition freely.
     Repair-policy configs (throttled recovery, priority/lazy queues,
-    the per-link model) serialise through the global queue clocks:
-    the coordinator drives the scheduler itself, running shards
-    in-process -- worker processes degrade gracefully (a structured
-    warning plus the ``sim.repair.workers_degraded`` metric, never a
-    crash or silent divergence) and the result still matches the
-    oracle bit-for-bit.  Stateful placement (``"d3"``) degrades workers
-    the same way (``sim.placement.workers_degraded``): the coordinator
-    applies each flag's recoveries in trajectory order so the policy's
-    global load vector sees exactly the serial commit sequence.
-    Parallel repair (``config.parallel_repair``) needs no degradation:
-    waves stay within one stripe, hence one shard, and hashed draws
-    are order-free -- shards and workers partition freely.
+    the per-link model) serialise through the global queue clocks: the
+    coordinator drives the scheduler itself and applies each finished
+    job to its owning shard.  Stateful placement (``"d3"``) is
+    coordinator-driven the same way: each flag's recoveries apply in
+    trajectory order so the policy's global load vector sees exactly
+    the serial commit sequence.  Parallel repair
+    (``config.parallel_repair``) needs neither: waves stay within one
+    stripe, hence one shard, and hashed draws are order-free.
     """
 
     def __init__(
         self,
         config: ClusterConfig,
-        num_shards: Optional[int] = None,
+        num_shards: int = 1,
         workers: Optional[int] = None,
-        parallel: Optional[bool] = None,
         record_transfers: bool = False,
         checkpoint_path: Optional[str] = None,
         checkpoint_every_days: Optional[int] = None,
         _restore=None,
-        _test_crash: Optional[Tuple[int, int, int]] = None,
     ):
+        if workers not in (None, 0):
+            raise ConfigError(
+                f"workers={workers!r}: shard worker processes were removed; "
+                "every shard runs in-process (set num_shards instead)"
+            )
+        if num_shards < 1:
+            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
         self.config = config
-        if _restore is not None and num_shards is None:
-            num_shards = _restore.num_shards
-        if workers is None:
-            tasks = num_shards if num_shards else (os.cpu_count() or 1)
-            if decide_parallel(tasks, parallel):
-                workers = min(tasks, os.cpu_count() or 1)
-            else:
-                workers = 0
-        self.num_workers = int(workers)
-        self.num_shards = int(num_shards) if num_shards else max(
-            self.num_workers, 1
-        )
-        if self.num_workers > self.num_shards:
-            self.num_workers = self.num_shards
+        self.num_shards = int(num_shards)
         #: Global repair-policy scheduler (None when every repair
         #: completes at flag time).  Queue timing is global state, so
-        #: scheduler runs are coordinator-driven: worker processes
-        #: degrade gracefully to in-process shards.
+        #: scheduler runs are coordinator-driven.
         self.scheduler = scheduler_from_config(config)
-        if self.scheduler is not None and self.num_workers > 0:
-            get_logger("repro.shard").warning(
-                "repair-policy-workers-degraded",
-                workers=self.num_workers,
-                reason="repair scheduler serialises through global "
-                "queue clocks; running shards in-process",
-            )
-            m = metrics()
-            if m is not None:
-                m.inc("sim.repair.workers_degraded")
-            self.num_workers = 0
-        if config.destination_draws != "hashed" and (
-            self.num_shards > 1 or self.num_workers > 0
-        ):
+        if config.destination_draws != "hashed" and self.num_shards > 1:
             raise ConfigError(
                 "destination_draws='stream' draws destinations from one "
                 "shared rng in event order, which cannot be partitioned; "
-                "run serial with num_shards=1, or switch the config to "
+                "run with num_shards=1, or switch the config to "
                 "destination_draws='hashed'"
             )
         self.record_transfers = record_transfers
@@ -1353,7 +1120,6 @@ class ShardedSimulation:
                 raise ConfigError(
                     "checkpoint_every_days requires checkpoint_path"
                 )
-        self._test_crash = _test_crash
 
         self.topology = Topology(config.num_racks, config.total_nodes_per_rack)
         seed = np.random.SeedSequence(config.seed)
@@ -1365,20 +1131,6 @@ class ShardedSimulation:
             seed=placement_seed,
             spares_per_rack=config.hot_spares_per_rack,
         )
-        if self.policy.stateful and self.num_workers > 0:
-            # Same graceful degradation as the repair scheduler: d3
-            # threads one global load vector through every replacement
-            # draw, so recoveries must apply in trajectory order.
-            get_logger("repro.shard").warning(
-                "stateful-placement-workers-degraded",
-                workers=self.num_workers,
-                reason="stateful placement serialises replacement draws "
-                "through a global load vector; running shards in-process",
-            )
-            m = metrics()
-            if m is not None:
-                m.inc("sim.placement.workers_degraded")
-            self.num_workers = 0
         self._recovery_rng = np.random.default_rng(recovery_seed)
         self._entropy = (
             destination_entropy(recovery_seed)
@@ -1425,7 +1177,7 @@ class ShardedSimulation:
             sizes = stripe_unit_sizes(
                 np.random.default_rng(size_seed), config.num_stripes, config
             )
-            self._base_states: List[dict] = []
+            self._initial_states: List[dict] = []
             for s in range(self.num_shards):
                 idx = np.flatnonzero(shard_of == s)
                 state = {
@@ -1436,9 +1188,8 @@ class ShardedSimulation:
                 }
                 if corrupt_mask is not None:
                     state["corrupt"] = corrupt_mask[idx]
-                self._base_states.append(state)
+                self._initial_states.append(state)
             self._start_epoch = 0
-            self._base_epoch = 0
             self._is_up = np.ones(config.num_nodes, dtype=bool)
             self._flagged_recovered = 0
             self._flagged_skipped = 0
@@ -1450,19 +1201,18 @@ class ShardedSimulation:
             # states replace the freshly-seeded generators so the
             # remaining epochs draw exactly what the uninterrupted run
             # would have drawn.
-            self._base_states = []
+            self._initial_states = []
             for s, state in enumerate(_restore.shard_states):
                 state = dict(state)
                 if corrupt_mask is not None:
                     idx = state["stripe_ids"]
                     state["corrupt"] = corrupt_mask[idx]
-                self._base_states.append(state)
+                self._initial_states.append(state)
             self._recovery_rng.bit_generator.state = (
                 _restore.recovery_rng_state
             )
             self.policy.rng.bit_generator.state = _restore.policy_rng_state
             self._start_epoch = _restore.next_epoch
-            self._base_epoch = _restore.next_epoch
             self._is_up = np.asarray(_restore.is_up, dtype=bool).copy()
             self._flagged_recovered = _restore.flagged_events_recovered
             self._flagged_skipped = _restore.flagged_events_skipped
@@ -1513,11 +1263,7 @@ class ShardedSimulation:
                     )
                 self.policy.restore(policy_state)
 
-        self._workers: List[_WorkerHandle] = []
         self._shards: List[ShardState] = []
-        #: Filtered op arrays per processed epoch (worker mode), kept so
-        #: a replacement worker can replay from the base snapshot.
-        self._epoch_ops: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -1527,18 +1273,15 @@ class ShardedSimulation:
     def resume(
         cls,
         path: str,
-        workers: Optional[int] = None,
-        parallel: Optional[bool] = None,
         record_transfers: bool = False,
         checkpoint_path: Optional[str] = None,
         checkpoint_every_days: Optional[int] = None,
     ) -> "ShardedSimulation":
         """Reconstruct a simulation from a checkpoint file.
 
-        The worker count is a runtime choice, not part of the snapshot:
-        a run checkpointed under N workers may resume under M (or
-        serial) and still produce the identical result, because shards
-        -- not workers -- are the unit of state.
+        The shard count comes from the snapshot, because shards are the
+        unit of state; the resumed run continues the identical
+        trajectory.
         """
         from repro.cluster.checkpoint import load_checkpoint
 
@@ -1546,8 +1289,6 @@ class ShardedSimulation:
         return cls(
             data.config,
             num_shards=data.num_shards,
-            workers=workers,
-            parallel=parallel,
             record_transfers=record_transfers,
             checkpoint_path=(
                 checkpoint_path if checkpoint_path is not None else path
@@ -1587,61 +1328,50 @@ class ShardedSimulation:
         if m is not None:
             m.inc("sim.shard.runs")
             m.set_gauge("sim.shard.shards", self.num_shards)
-            m.set_gauge("sim.shard.workers", self.num_workers)
-        try:
-            if self.num_workers > 0:
-                self._start_workers()
-            else:
-                self._shards = [
-                    self._build_local_shard(state)
-                    for state in self._base_states
-                ]
-            for epoch in range(self._start_epoch, target_epoch):
-                lo, hi = int(bounds[epoch]), int(bounds[epoch + 1])
-                ops = self._prepare_epoch(timeline, lo, hi)
-                if self.scheduler is not None:
-                    recovered = self._apply_epoch_des(
-                        ops, (epoch + 1) * SECONDS_PER_DAY
-                    )
-                elif self.policy.stateful:
-                    recovered = self._apply_epoch_stateful(ops)
-                elif self.num_workers > 0:
-                    self._epoch_ops[epoch] = ops
-                    recovered = self._dispatch_epoch_workers(epoch, ops)
-                else:
-                    recovered = self._apply_epoch_serial(ops)
-                if m is not None:
-                    m.inc("sim.shard.epochs")
-                    m.inc("sim.shard.ops", hi - lo)
-                    if self.num_shards > 1:
-                        m.observe(
-                            "sim.shard.worker_imbalance",
-                            max(recovered) - min(recovered),
-                        )
-                if (
-                    self.checkpoint_every_days is not None
-                    and (epoch + 1 - self._start_epoch)
-                    % self.checkpoint_every_days
-                    == 0
-                    and epoch + 1 < target_epoch
-                ):
-                    self._write_checkpoint(epoch + 1)
-            if stop_after_day is not None:
-                self._write_checkpoint(target_epoch)
-                return None
+        self._shards = [
+            self._build_local_shard(state) for state in self._initial_states
+        ]
+        for epoch in range(self._start_epoch, target_epoch):
+            lo, hi = int(bounds[epoch]), int(bounds[epoch + 1])
+            ops = self._prepare_epoch(timeline, lo, hi)
             if self.scheduler is not None:
-                # Serial queue.run() drains to exhaustion; mirror it by
-                # letting every queued/deferred repair run to completion
-                # past the horizon.
-                counts = [0] * self.num_shards
-                self._apply_completions(
-                    self.scheduler.advance(math.inf, inclusive=True), counts
+                recovered = self._apply_epoch_des(
+                    ops, (epoch + 1) * SECONDS_PER_DAY
                 )
-                for shard in self._shards:
-                    shard.flush_epoch()
-            meter, stats, read_stats = self._merge_results()
-        finally:
-            self._stop_workers()
+            elif self.policy.stateful:
+                recovered = self._apply_epoch_stateful(ops)
+            else:
+                recovered = self._apply_epoch_serial(ops)
+            if m is not None:
+                m.inc("sim.shard.epochs")
+                m.inc("sim.shard.ops", hi - lo)
+                if self.num_shards > 1:
+                    m.observe(
+                        "sim.shard.imbalance",
+                        max(recovered) - min(recovered),
+                    )
+            if (
+                self.checkpoint_every_days is not None
+                and (epoch + 1 - self._start_epoch)
+                % self.checkpoint_every_days
+                == 0
+                and epoch + 1 < target_epoch
+            ):
+                self._write_checkpoint(epoch + 1)
+        if stop_after_day is not None:
+            self._write_checkpoint(target_epoch)
+            return None
+        if self.scheduler is not None:
+            # Serial queue.run() drains to exhaustion; mirror it by
+            # letting every queued/deferred repair run to completion
+            # past the horizon.
+            counts = [0] * self.num_shards
+            self._apply_completions(
+                self.scheduler.advance(math.inf, inclusive=True), counts
+            )
+            for shard in self._shards:
+                shard.flush_epoch()
+        meter, stats, read_stats = self._merge_results()
         stats.flagged_events_recovered += self._flagged_recovered
         stats.flagged_events_skipped += self._flagged_skipped
         if self.scheduler is not None:
@@ -1684,15 +1414,13 @@ class ShardedSimulation:
 
         The balance measure the d3 replacement rule maintains (rows of
         missing units still count toward their last holder's rack, the
-        same convention the serial store uses).  Only available after an
-        in-process run -- workers own their shard state, so worker runs
-        must collect it through checkpoints instead.
+        same convention the serial store uses).  Only available once
+        :meth:`run` has built the shards.
         """
         if not self._shards:
             raise SimulationError(
-                "rack_unit_load needs the shard states in-process; run "
-                "with workers=0 (scheduler and stateful-placement runs "
-                "degrade to in-process automatically)"
+                "rack_unit_load reads the final shard placements; call "
+                "run() first"
             )
         npr = self.topology.nodes_per_rack
         load = np.zeros(self.topology.num_racks, dtype=np.int64)
@@ -1955,157 +1683,56 @@ class ShardedSimulation:
         return counts
 
     def _build_local_shard(self, state: dict) -> ShardState:
-        return _build_shard(
-            state,
+        """Construct a :class:`ShardState` from an initial payload or a
+        restored snapshot (snapshots carry the extra keys)."""
+        from repro.cluster.checkpoint import (
+            restore_meter,
+            restore_read_stats,
+            restore_stats,
+        )
+
+        node_lists = None
+        if "list_nodes" in state:
+            node_lists = _decode_node_lists(
+                state["list_nodes"], state["list_counts"], state["list_uids"]
+            )
+        meter = (
+            restore_meter(self.topology, state["meter"], self.record_transfers)
+            if "meter" in state
+            else TrafficMeter(
+                self.topology, record_transfers=self.record_transfers
+            )
+        )
+        return ShardState(
+            shard_id=int(state["shard_id"]),
+            stripe_ids=state["stripe_ids"],
+            placement=state["placement"],
+            unit_sizes=state["unit_sizes"],
             width=self.config.stripe_width_units,
             num_nodes=self.config.num_nodes,
             code=self.code,
             policy=self.policy,
-            topology=self.topology,
+            meter=meter,
             destination_draws=self.config.destination_draws,
             entropy=self._entropy,
-            record_transfers=self.record_transfers,
-            is_up=self._is_up,
             parallel_repair=self.config.parallel_repair,
+            corrupt_rows=state.get("corrupt"),
+            missing=state.get("missing"),
+            node_lists=node_lists,
+            is_up=self._is_up,
+            stats=(
+                restore_stats(state["stats"]) if "stats" in state else None
+            ),
+            read_stats=(
+                restore_read_stats(state["read_stats"])
+                if "read_stats" in state
+                else None
+            ),
         )
-
-    # ------------------------------------------------------------------
-    # Worker orchestration
-    # ------------------------------------------------------------------
-
-    def _worker_params(self, worker_index: int) -> Dict[str, object]:
-        params = {
-            "num_racks": self.config.num_racks,
-            "nodes_per_rack": self.config.total_nodes_per_rack,
-            "spares_per_rack": self.config.hot_spares_per_rack,
-            "code_name": self.config.code_name,
-            "code_params": dict(self.config.code_params),
-            "placement_policy": self.config.placement_policy,
-            "destination_draws": self.config.destination_draws,
-            "entropy": self._entropy,
-            "parallel_repair": self.config.parallel_repair,
-            "num_nodes": self.config.num_nodes,
-            "width": self.config.stripe_width_units,
-            "record_transfers": self.record_transfers,
-            "is_up": self._base_is_up,
-            "crash": None,
-        }
-        if self._test_crash is not None and self._test_crash[0] == worker_index:
-            params["crash"] = (self._test_crash[1], self._test_crash[2])
-        return params
-
-    def _start_workers(self) -> None:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        self._ctx = ctx
-        #: availability replica matching the base snapshot's epoch, for
-        #: worker (re)spawns.
-        self._base_is_up = self._is_up.copy()
-        for index in range(self.num_workers):
-            shard_indices = list(
-                range(index, self.num_shards, self.num_workers)
-            )
-            handle = _WorkerHandle(index, shard_indices)
-            handle.spawn(
-                ctx,
-                self._worker_params(index),
-                [self._base_states[s] for s in shard_indices],
-            )
-            self._workers.append(handle)
-
-    def _dispatch_epoch_workers(self, epoch: int, ops: Tuple) -> List[int]:
-        kinds, nodes, times, ordinals, extras = ops
-        msg = ("epoch", epoch, kinds, nodes, times, ordinals, extras)
-        dead: List[_WorkerHandle] = []
-        for handle in self._workers:
-            try:
-                handle.send(msg)
-            except (BrokenPipeError, OSError):
-                dead.append(handle)
-        per_shard = [0] * self.num_shards
-        merge_bytes = 0
-        for handle in self._workers:
-            if handle in dead:
-                continue
-            try:
-                reply = handle.recv()
-            except (EOFError, OSError):
-                dead.append(handle)
-                continue
-            merge_bytes += len(pickle.dumps(reply))
-            for shard_id, count in zip(handle.shard_indices, reply[2]):
-                per_shard[shard_id] = count
-        m = metrics()
-        if m is not None and merge_bytes:
-            m.inc("sim.shard.merge_bytes", merge_bytes)
-        for handle in dead:
-            replayed = self._replay_worker(handle, epoch)
-            for shard_id, count in zip(handle.shard_indices, replayed):
-                per_shard[shard_id] = count
-        return per_shard
-
-    def _replay_worker(self, handle: _WorkerHandle, epoch: int) -> List[int]:
-        """Respawn a dead worker from the base snapshot and replay epochs.
-
-        The timeline is deterministic and the coordinator retains every
-        dispatched epoch's (pre-filtered) ops, so replay needs no rng
-        coordination: re-init from the last checkpointed shard states
-        (or the initial placement) and re-apply epochs
-        ``base_epoch..epoch``.  Partial state from the mid-epoch death
-        is discarded wholesale, which is what makes the replay exact.
-        """
-        m = metrics()
-        if m is not None:
-            m.inc("sim.shard.worker_restarts")
-        if handle.proc is not None:
-            handle.proc.join(timeout=10.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.proc = None
-        # The crash hook fires once: the replacement must survive.
-        if self._test_crash is not None and self._test_crash[0] == handle.index:
-            self._test_crash = None
-        handle.spawn(
-            self._ctx,
-            self._worker_params(handle.index),
-            [self._base_states[s] for s in handle.shard_indices],
-        )
-        recovered: List[int] = []
-        for past in range(self._base_epoch, epoch + 1):
-            kinds, nodes, times, ordinals, extras = self._epoch_ops[past]
-            handle.send(
-                ("epoch", past, kinds, nodes, times, ordinals, extras)
-            )
-            reply = handle.recv()
-            recovered = reply[2]
-        return recovered
-
-    def _stop_workers(self) -> None:
-        for handle in self._workers:
-            try:
-                handle.stop()
-            except (BrokenPipeError, OSError, EOFError):
-                pass
-        self._workers = []
 
     # ------------------------------------------------------------------
     # Snapshots and result merging
     # ------------------------------------------------------------------
-
-    def _collect_states(self) -> List[dict]:
-        if self.num_workers == 0:
-            return [shard.state_dict() for shard in self._shards]
-        states: List[Optional[dict]] = [None] * self.num_shards
-        for handle in self._workers:
-            handle.send(("collect",))
-            reply = handle.recv()
-            for shard_id, state in zip(handle.shard_indices, reply[1]):
-                states[shard_id] = state
-        return list(states)
 
     def _write_checkpoint(self, next_epoch: int) -> None:
         from repro.cluster.checkpoint import (
@@ -2114,7 +1741,7 @@ class ShardedSimulation:
         )
 
         wall0 = time_module.perf_counter()
-        states = self._collect_states()
+        states = [shard.state_dict() for shard in self._shards]
         scheduler_state = None
         policy_state = None
         coord_traj = None
@@ -2160,14 +1787,6 @@ class ShardedSimulation:
                 coord_urgent_wait_us=self._urgent_wait_us,
             ),
         )
-        # The freshly-written snapshot becomes the replay base; earlier
-        # epoch ops are no longer needed for crash recovery.
-        self._base_states = states
-        self._base_epoch = next_epoch
-        if self.num_workers > 0:
-            self._base_is_up = self._is_up.copy()
-            for past in [e for e in self._epoch_ops if e < next_epoch]:
-                del self._epoch_ops[past]
         m = metrics()
         if m is not None:
             m.observe(
@@ -2178,37 +1797,13 @@ class ShardedSimulation:
     def _merge_results(
         self,
     ) -> Tuple[TrafficMeter, RecoveryStats, ReadStats]:
-        from repro.cluster.checkpoint import (
-            restore_meter,
-            restore_read_stats,
-            restore_stats,
-        )
-
         meter = TrafficMeter(
             self.topology, record_transfers=self.record_transfers
         )
         stats = RecoveryStats()
         read_stats = ReadStats()
-        merge_bytes = 0
-        if self.num_workers == 0:
-            for shard in self._shards:
-                meter.merge_from(shard.meter)
-                stats.merge_from(shard.stats)
-                read_stats.merge_from(shard.read_stats)
-        else:
-            parts: List[Optional[Tuple]] = [None] * self.num_shards
-            for handle in self._workers:
-                handle.send(("finish",))
-                reply = handle.recv()
-                merge_bytes += len(pickle.dumps(reply))
-                for shard_id, meter_st, stats_st, read_st in reply[1]:
-                    parts[shard_id] = (meter_st, stats_st, read_st)
-            for part in parts:
-                meter_st, stats_st, read_st = part
-                meter.merge_from(restore_meter(self.topology, meter_st))
-                stats.merge_from(restore_stats(stats_st))
-                read_stats.merge_from(restore_read_stats(read_st))
-        m = metrics()
-        if m is not None and merge_bytes:
-            m.inc("sim.shard.merge_bytes", merge_bytes)
+        for shard in self._shards:
+            meter.merge_from(shard.meter)
+            stats.merge_from(shard.stats)
+            read_stats.merge_from(shard.read_stats)
         return meter, stats, read_stats

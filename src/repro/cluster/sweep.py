@@ -17,9 +17,12 @@ independent child seeds from one master seed via
 ``numpy.random.SeedSequence.spawn`` -- never by seed arithmetic.
 
 Set ``REPRO_PARALLEL=0`` to force serial execution (useful on CI
-machines where process pools are unwelcome); the accepted values and
-precedence rules are shared with the sharded simulator via
-:func:`repro.parallel.decide_parallel`.
+machines where process pools are unwelcome).  The variable accepts
+exactly ``"1"`` (allow pools, the default) and ``"0"`` (force serial);
+anything else -- ``off``, ``no``, ``false`` -- raises
+:class:`~repro.errors.ConfigError` instead of being silently read as
+"parallel on": a kill switch that only *looks* engaged is worse than no
+kill switch.
 """
 
 from __future__ import annotations
@@ -33,10 +36,36 @@ import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import SimulationResult, WarehouseSimulation
-from repro.parallel import decide_parallel as _decide_parallel
+from repro.errors import ConfigError
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+#: Environment variable holding the serial/parallel kill switch.
+PARALLEL_ENV = "REPRO_PARALLEL"
+
+
+def decide_parallel(num_tasks: int, parallel: Optional[bool]) -> bool:
+    """Decide whether ``num_tasks`` independent tasks should use a pool.
+
+    ``parallel`` is the caller's explicit request: ``True``/``False``
+    win over everything except the trivial one-task case.  ``None``
+    consults ``REPRO_PARALLEL`` (unset or empty allows pools, ``"1"``
+    allows, ``"0"`` forces serial, anything else raises
+    :class:`ConfigError`) and then auto-detects (multiple tasks and
+    more than one CPU).
+    """
+    if parallel is not None:
+        return parallel and num_tasks > 1
+    raw = os.environ.get(PARALLEL_ENV)
+    if raw == "0":
+        return False
+    if raw not in (None, "", "1"):
+        raise ConfigError(
+            f"{PARALLEL_ENV}={raw!r} is not a valid value; use '1' to allow "
+            f"process pools or '0' to force serial execution"
+        )
+    return num_tasks > 1 and (os.cpu_count() or 1) > 1
 
 
 def _run_one(config: ClusterConfig) -> SimulationResult:
@@ -47,14 +76,12 @@ def _run_one(config: ClusterConfig) -> SimulationResult:
 def _run_one_sharded(config: ClusterConfig) -> SimulationResult:
     """Worker: one simulation on the sharded epoch engine.
 
-    Worker processes are pinned to zero -- a sweep already parallelises
-    across configs, so nesting process pools inside each simulation
-    would oversubscribe the machine.  The epoch engine's serial mode is
-    the same trajectory (it IS the oracle's equal), just faster.
+    One in-process shard: the same trajectory as the oracle (it IS the
+    oracle's equal), just faster.
     """
     from repro.cluster.shard import ShardedSimulation
 
-    return ShardedSimulation(config, workers=0).run()
+    return ShardedSimulation(config).run()
 
 
 #: Engine name -> module-level worker for :func:`run_many`.
@@ -78,7 +105,7 @@ def parallel_map(
     propagate regardless of the execution mode.
     """
     items = list(items)
-    if not _decide_parallel(len(items), parallel):
+    if not decide_parallel(len(items), parallel):
         return [fn(item) for item in items]
     workers = max_workers or min(len(items), os.cpu_count() or 1)
     try:
@@ -104,8 +131,6 @@ def run_many(
     faster).  Both return :class:`SimulationResult`.
     """
     if engine not in ENGINES:
-        from repro.errors import ConfigError
-
         raise ConfigError(
             f"unknown sweep engine {engine!r}; available: {sorted(ENGINES)}"
         )

@@ -74,7 +74,7 @@ class BackendUnavailable(ReproError):
     """A GF kernel backend cannot run on this host.
 
     Raised by backend probes when a dependency is missing (no cffi, no
-    numba, no working C compiler).  The registry treats it as "skip this
+    working C compiler).  The registry treats it as "skip this
     tier": auto-selection falls through to the next backend, while an
     explicit ``REPRO_GF_BACKEND`` request re-raises it loudly -- a
     backend the user asked for by name must never silently degrade.

@@ -132,7 +132,6 @@ def _latency_quantiles(stats) -> Dict[str, float]:
 def placement_ablation(
     full: bool = False,
     days: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """distinct-rack/d3 x serial/parallel over a contended pipe."""
     base = _base_config(full, days)
@@ -149,9 +148,7 @@ def placement_ablation(
         start = time.perf_counter()
         # Transfer logs are per-transfer objects; keep them for the
         # smoke topology only (the full cluster would hold millions).
-        simulation = ShardedSimulation(
-            config, workers=workers, record_transfers=not full
-        )
+        simulation = ShardedSimulation(config, record_transfers=not full)
         result = simulation.run()
         wall = time.perf_counter() - start
         load = simulation.rack_unit_load()
@@ -161,10 +158,11 @@ def placement_ablation(
                 WarehouseSimulation(config).run()
             ) == _fingerprint(result)
             if name == "d3_parallel":
-                # Partitioning invariance: a different shard count must
-                # replay the identical trajectory.
+                # Partitioning invariance: a different shard count (3
+                # against the default 1) must replay the identical
+                # trajectory.
                 shard_invariant = _fingerprint(
-                    ShardedSimulation(config, num_shards=3, workers=0).run()
+                    ShardedSimulation(config, num_shards=3).run()
                 ) == _fingerprint(result)
         stats = result.stats
         received = _destination_traffic(result, npr, base.num_racks)

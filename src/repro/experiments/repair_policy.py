@@ -108,7 +108,6 @@ def _fingerprint(result: SimulationResult) -> tuple:
 def repair_policies(
     full: bool = False,
     days: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Eager/lazy x FIFO/priority x spares over a contended pipe."""
     base = _base_config(full, days)
@@ -119,8 +118,7 @@ def repair_policies(
     results: Dict[str, SimulationResult] = {}
     for name, config in matrix.items():
         start = time.perf_counter()
-        simulation = ShardedSimulation(config, workers=workers)
-        result = simulation.run()
+        result = ShardedSimulation(config).run()
         wall = time.perf_counter() - start
         oracle_match: Optional[bool] = None
         if not full:

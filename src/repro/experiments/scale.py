@@ -77,10 +77,9 @@ def _run_scenario(
     title: str,
     config: ClusterConfig,
     full: bool,
-    workers: Optional[int],
 ) -> ExperimentResult:
     start = time.perf_counter()
-    simulation = ShardedSimulation(config, workers=workers)
+    simulation = ShardedSimulation(config)
     result = simulation.run()
     wall = time.perf_counter() - start
 
@@ -96,7 +95,6 @@ def _run_scenario(
         {"metric": "stripes", "value": config.num_stripes},
         {"metric": "simulated days", "value": config.days},
         {"metric": "shards", "value": simulation.num_shards},
-        {"metric": "worker processes", "value": simulation.num_workers},
         {"metric": "wall seconds", "value": round(wall, 2)},
         {"metric": "simulated days/s", "value": round(config.days / wall, 1)},
         {
@@ -152,7 +150,6 @@ def _run_scenario(
 def scale_correlated(
     full: bool = False,
     days: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Correlated rack-batch failures at scale."""
     config = replace(
@@ -165,14 +162,12 @@ def scale_correlated(
         "correlated rack failures (sharded engine)",
         config,
         full,
-        workers,
     )
 
 
 def scale_hetero(
     full: bool = False,
     days: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Heterogeneous block capacities: a wide full/tail size mix."""
     config = replace(
@@ -185,14 +180,12 @@ def scale_hetero(
         "heterogeneous block capacities (sharded engine)",
         config,
         full,
-        workers,
     )
 
 
 def scale_chaos(
     full: bool = False,
     days: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Chaos storm: node flaps plus latent corruption at scale."""
     base = _scenario_config(full, days)
@@ -206,7 +199,6 @@ def scale_chaos(
         "chaos storm at scale (sharded engine)",
         config,
         full,
-        workers,
     )
 
 

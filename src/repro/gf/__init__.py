@@ -12,7 +12,7 @@ library.  It provides:
   constructions (Vandermonde, Cauchy, systematic generator matrices);
 - :mod:`repro.gf.polynomial` -- univariate polynomials over GF(2^8);
 - :mod:`repro.gf.backends` -- pluggable kernel backends (compiled C via
-  cffi, numba JIT, numpy oracle) behind the bulk field operations;
+  cffi, numpy oracle) behind the bulk field operations;
 - :mod:`repro.gf.xor_schedule` -- CSE'd XOR schedules compiled from the
   binary matrices of :mod:`repro.gf.bitmatrix`.
 

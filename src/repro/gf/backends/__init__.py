@@ -6,14 +6,13 @@ through exactly one *active backend*, selected lazily on first use:
 
 1. ``cffi`` -- compiled C with SIMD tiers (GFNI/AVX-512 down to plain
    scalar), built lazily and cached per machine;
-2. ``numba`` -- JIT product-table kernels, when numba is installed;
-3. ``numpy`` -- the original chunked-gather kernels, always available
-   and the *oracle* every other backend is property-tested against.
+2. ``numpy`` -- the original chunked-gather kernels, always available
+   and the *oracle* the cffi backend is property-tested against.
 
 Auto-selection walks that order and takes the first tier whose probe
 succeeds.  ``REPRO_GF_BACKEND`` overrides it, following the
-``REPRO_PARALLEL`` convention from :mod:`repro.parallel`: the accepted
-values are exactly ``numpy``, ``cffi``, ``numba`` and ``auto`` (unset /
+``REPRO_PARALLEL`` convention of :mod:`repro.cluster.sweep`: the
+accepted values are exactly ``numpy``, ``cffi`` and ``auto`` (unset /
 empty mean auto), anything else raises
 :class:`~repro.errors.ConfigError` loudly, and naming a backend whose
 dependencies are missing is also a loud :class:`ConfigError` -- an
@@ -54,10 +53,10 @@ __all__ = [
 BACKEND_ENV = "REPRO_GF_BACKEND"
 
 #: Auto-selection order: fastest tier first, oracle last.
-AUTO_ORDER = ("cffi", "numba", "numpy")
+AUTO_ORDER = ("cffi", "numpy")
 
 #: Names accepted by the env var / :func:`select_backend`.
-VALID_BACKENDS = ("numpy", "cffi", "numba")
+VALID_BACKENDS = ("numpy", "cffi")
 
 _instances: Dict[str, KernelBackend] = {}
 _failures: Dict[str, str] = {}
@@ -97,8 +96,6 @@ def _probe(name: str) -> KernelBackend:
             from repro.gf.backends.numpy_backend import NumpyBackend as cls
         elif name == "cffi":
             from repro.gf.backends.cffi_backend import CffiBackend as cls
-        elif name == "numba":
-            from repro.gf.backends.numba_backend import NumbaBackend as cls
         else:
             raise ConfigError(f"unknown GF backend {name!r}")
         backend = cls()

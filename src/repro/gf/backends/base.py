@@ -42,11 +42,11 @@ class KernelBackend(abc.ABC):
     Attributes
     ----------
     name:
-        Registry key (``"numpy"``, ``"cffi"``, ``"numba"``); also what
+        Registry key (``"numpy"`` or ``"cffi"``); also what
         benchmarks and ``BENCH_codec.json`` record.
     is_native:
         True when the backend's kernels run outside the numpy ufunc
-        machinery (compiled C, JIT).  The GF layer only diverts work to
+        machinery (compiled C).  The GF layer only diverts work to
         a backend when this is set -- the numpy oracle's kernels *are*
         the fallback path, so dispatching to it would just add a hop.
     tier_description:

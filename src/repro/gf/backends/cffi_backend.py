@@ -2,7 +2,7 @@
 
 The C module is compiled once per machine on first use and cached under
 ``~/.cache/repro-gf`` (override with ``REPRO_GF_CACHE_DIR``), so every
-later process -- including sweep and shard workers -- just dlopens the
+later process -- including sweep pool workers -- just dlopens the
 shared object.  The source selects its inner loop at *compile* time from
 what ``-march=native`` exposes:
 

@@ -29,7 +29,7 @@ Kill switch
 ``REPRO_METRICS`` accepts exactly ``"1"`` (record, the default) and
 ``"0"`` (disable).  Junk values raise
 :class:`~repro.errors.ConfigError` loudly, mirroring
-``REPRO_PARALLEL``.  When disabled, :func:`metrics` returns ``None``
+``REPRO_PARALLEL`` (:mod:`repro.cluster.sweep`).  When disabled, :func:`metrics` returns ``None``
 and every instrumented site does one function call plus a ``None``
 check and nothing else -- instrumentation never touches payload bytes
 or random streams, so enabled and disabled runs produce byte-identical
@@ -43,8 +43,8 @@ Hot-path idiom::
     if m is not None:
         m.inc("codec.encode.stripes", len(layouts))
 
-The registry is process-local: sweep and sharded-simulator worker
-subprocesses each have their own (discarded with the process); the
+The registry is process-local: sweep pool worker subprocesses each
+have their own (discarded with the process); the
 parent's counters cover everything the parent itself did, which is what
 the snapshot documents.
 """

@@ -1,13 +1,10 @@
 """Checkpoint/restore determinism for the sharded epoch engine.
 
 The contract (DESIGN §5h): stopping a run at any epoch boundary,
-reloading the snapshot -- possibly in a different process, under a
-different worker count -- and finishing produces the *bit-identical*
-trajectory of a straight-through run.  Snapshots are versioned
-(``CHECKPOINT_VERSION``); a mismatch is a loud
-:class:`~repro.errors.CheckpointError`, never a silent misread.  A
-worker killed mid-epoch is replayed from its last durable state plus
-the retained epoch ops, with no effect on the merged result.
+reloading the snapshot -- possibly in a different process -- and
+finishing produces the *bit-identical* trajectory of a straight-through
+run.  Snapshots are versioned (``CHECKPOINT_VERSION``); a mismatch is a
+loud :class:`~repro.errors.CheckpointError`, never a silent misread.
 """
 
 import json
@@ -33,16 +30,14 @@ CONFIG = replace(BASE, days=8.0)
 
 
 def straight_through(config):
-    return fingerprint(ShardedSimulation(config, num_shards=3, workers=0).run())
+    return fingerprint(ShardedSimulation(config, num_shards=3).run())
 
 
-def stop_and_resume(config, tmp_path, stop_day, workers=0, resume_workers=0):
+def stop_and_resume(config, tmp_path, stop_day):
     path = str(tmp_path / "snap.ckpt")
-    first = ShardedSimulation(
-        config, num_shards=3, workers=workers, checkpoint_path=path
-    )
+    first = ShardedSimulation(config, num_shards=3, checkpoint_path=path)
     assert first.run(stop_after_day=stop_day) is None
-    resumed = ShardedSimulation.resume(path, workers=resume_workers)
+    resumed = ShardedSimulation.resume(path)
     result = resumed.run()
     assert result is not None
     return fingerprint(result)
@@ -77,35 +72,17 @@ def test_stream_mode_round_trip(tmp_path):
     """Stream draws carry live rng state; the snapshot must restore it."""
     config = replace(CONFIG, destination_draws="stream")
     path = str(tmp_path / "snap.ckpt")
-    first = ShardedSimulation(
-        config, num_shards=1, workers=0, checkpoint_path=path
-    )
+    first = ShardedSimulation(config, num_shards=1, checkpoint_path=path)
     assert first.run(stop_after_day=3) is None
-    result = ShardedSimulation.resume(path, workers=0).run()
-    straight = ShardedSimulation(config, num_shards=1, workers=0).run()
+    result = ShardedSimulation.resume(path).run()
+    straight = ShardedSimulation(config, num_shards=1).run()
     assert fingerprint(result) == fingerprint(straight)
-
-
-def test_resume_under_different_worker_count(tmp_path):
-    """Worker count is a runtime choice, not part of the snapshot: a
-    serial run's snapshot finishes under 2 workers bit-identically."""
-    assert stop_and_resume(
-        CONFIG, tmp_path, 3, workers=0, resume_workers=2
-    ) == straight_through(CONFIG)
-
-
-def test_resume_serial_from_worker_run(tmp_path):
-    assert stop_and_resume(
-        CONFIG, tmp_path, 3, workers=2, resume_workers=0
-    ) == straight_through(CONFIG)
 
 
 def test_chained_sessions(tmp_path):
     """Three sessions, two resumes -- the ten-cluster-year shape."""
     path = str(tmp_path / "snap.ckpt")
-    sim = ShardedSimulation(
-        CONFIG, num_shards=3, workers=0, checkpoint_path=path
-    )
+    sim = ShardedSimulation(CONFIG, num_shards=3, checkpoint_path=path)
     assert sim.run(stop_after_day=2) is None
     assert ShardedSimulation.resume(path).run(stop_after_day=5) is None
     result = ShardedSimulation.resume(path).run()
@@ -119,7 +96,6 @@ def test_periodic_checkpoints_do_not_perturb(tmp_path):
     sim = ShardedSimulation(
         CONFIG,
         num_shards=3,
-        workers=0,
         checkpoint_path=path,
         checkpoint_every_days=2,
     )
@@ -148,30 +124,6 @@ def test_round_trip_any_seed_any_boundary(seed, stop_day, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Worker failure replay
-# ----------------------------------------------------------------------
-
-
-def test_worker_killed_mid_epoch_replays_identically():
-    """Kill worker 0 mid-epoch-2 (while applying its second shard); the
-    coordinator respawns it from the last durable state, replays the
-    retained epoch ops, and the merged result is unchanged."""
-    crashed = ShardedSimulation(
-        CONFIG, num_shards=4, workers=2, _test_crash=(0, 2, 1)
-    ).run()
-    assert fingerprint(crashed) == straight_through(CONFIG)
-
-
-def test_worker_killed_at_epoch_end_replays_identically():
-    """Crash after the worker finished its shards but before the
-    coordinator collected the delta (index past the last shard)."""
-    crashed = ShardedSimulation(
-        CONFIG, num_shards=4, workers=2, _test_crash=(1, 3, 99)
-    ).run()
-    assert fingerprint(crashed) == straight_through(CONFIG)
-
-
-# ----------------------------------------------------------------------
 # Snapshot format
 # ----------------------------------------------------------------------
 
@@ -181,7 +133,6 @@ def _write_snapshot(tmp_path):
     sim = ShardedSimulation(
         replace(CONFIG, days=4.0),
         num_shards=2,
-        workers=0,
         checkpoint_path=path,
     )
     assert sim.run(stop_after_day=2) is None

@@ -6,8 +6,7 @@ destination plus one forward per extra unit) instead of ``a``
 independent ``k``-unit repairs.  These tests pin the accounting, the
 savings, and -- the hard part -- that the sharded engine replays the
 serial oracle bit for bit with waves on, for both the stateless hashed
-draws and the stateful d3 policy (which degrades to coordinator-driven
-execution).
+draws and the stateful d3 policy (which runs coordinator-driven).
 """
 
 import numpy as np
@@ -108,15 +107,13 @@ class TestShardedMatchesSerial:
             hot_spares_per_rack=1,
         )
         oracle = _fingerprint(WarehouseSimulation(config).run())
-        sharded = ShardedSimulation(
-            config, num_shards=num_shards, workers=0
-        ).run()
+        sharded = ShardedSimulation(config, num_shards=num_shards).run()
         assert _fingerprint(sharded) == oracle
 
     def test_d3_serial_waves_off_bit_identical(self):
         config = _config(placement_policy="d3")
         oracle = _fingerprint(WarehouseSimulation(config).run())
-        sharded = ShardedSimulation(config, num_shards=3, workers=0).run()
+        sharded = ShardedSimulation(config, num_shards=3).run()
         assert _fingerprint(sharded) == oracle
 
     def test_throttled_d3_parallel_bit_identical(self):
@@ -129,21 +126,14 @@ class TestShardedMatchesSerial:
             repair_link_gbps=1.0,
         )
         oracle = _fingerprint(WarehouseSimulation(config).run())
-        sharded = ShardedSimulation(config, num_shards=3, workers=0).run()
+        sharded = ShardedSimulation(config, num_shards=3).run()
         assert _fingerprint(sharded) == oracle
-
-    def test_d3_degrades_workers_to_coordinator(self):
-        config = _config(placement_policy="d3")
-        oracle = _fingerprint(WarehouseSimulation(config).run())
-        simulation = ShardedSimulation(config, num_shards=3, workers=2)
-        assert simulation.num_workers == 0  # degraded, not broken
-        assert _fingerprint(simulation.run()) == oracle
 
     def test_rack_unit_load_matches_serial_store(self):
         config = _config(placement_policy="d3", parallel_repair=True)
         serial = WarehouseSimulation(config)
         serial.run()
-        sharded = ShardedSimulation(config, num_shards=3, workers=0)
+        sharded = ShardedSimulation(config, num_shards=3)
         sharded.run()
         racks = np.asarray(serial.store.placement) // config.nodes_per_rack
         want = np.bincount(racks.ravel(), minlength=config.num_racks)
@@ -156,8 +146,8 @@ class TestCheckpointResume:
         config = _config(placement_policy=placement, parallel_repair=True)
         oracle = _fingerprint(WarehouseSimulation(config).run())
         path = str(tmp_path / "ck.npz")
-        ShardedSimulation(
-            config, num_shards=3, workers=0, checkpoint_path=path
-        ).run(stop_after_day=3)
-        resumed = ShardedSimulation.resume(path, workers=0).run()
+        ShardedSimulation(config, num_shards=3, checkpoint_path=path).run(
+            stop_after_day=3
+        )
+        resumed = ShardedSimulation.resume(path).run()
         assert _fingerprint(resumed) == oracle

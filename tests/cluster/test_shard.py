@@ -4,7 +4,7 @@ The contract (DESIGN §5h): :class:`~repro.cluster.shard.ShardedSimulation`
 produces the exact trajectory of :class:`WarehouseSimulation` for the
 same config -- every per-day series, the degraded histogram, every
 counter in :class:`RecoveryStats` and every aggregate in
-:class:`TrafficMeter` -- regardless of shard count or worker count.
+:class:`TrafficMeter` -- regardless of shard count.
 Under ``destination_draws="hashed"`` destinations are a pure hash of
 (stripe uid, flag ordinal, entropy), so the partition is free to
 reorder work; under the legacy ``"stream"`` mode only the serial
@@ -15,13 +15,14 @@ items, per-day series), the same keys the sweep and bench layers
 consume; the raw transfer log may legally interleave differently.
 """
 
-import os
+import multiprocessing.process
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.cluster.config import ClusterConfig
 from repro.cluster.shard import ShardedSimulation, stripe_shard_ids
 from repro.cluster.simulation import WarehouseSimulation
@@ -89,21 +90,21 @@ def test_serial_shards_match_oracle(code_name, num_shards):
     config = replace(
         BASE, code_name=code_name, code_params=CODE_PARAMS[code_name]
     )
-    sharded = ShardedSimulation(config, num_shards=num_shards, workers=0)
+    sharded = ShardedSimulation(config, num_shards=num_shards)
     assert fingerprint(sharded.run()) == oracle_fingerprint(config)
 
 
 def test_stream_mode_single_shard_matches_oracle():
     """Legacy stream draws stay bit-exact in the only legal layout."""
     config = replace(BASE, destination_draws="stream")
-    sharded = ShardedSimulation(config, num_shards=1, workers=0)
+    sharded = ShardedSimulation(config, num_shards=1)
     assert fingerprint(sharded.run()) == oracle_fingerprint(config)
 
 
 def test_chaos_matches_oracle():
     """Node flaps + latent corruption partition cleanly too."""
     config = replace(BASE, chaos_node_flaps=6, chaos_corrupt_units=25)
-    result = ShardedSimulation(config, num_shards=3, workers=0).run()
+    result = ShardedSimulation(config, num_shards=3).run()
     assert result.stats.corrupt_survivors_excluded > 0
     assert fingerprint(result) == oracle_fingerprint(config)
 
@@ -115,41 +116,20 @@ def test_chaos_matches_oracle():
 )
 def test_any_seed_any_shard_count_matches_oracle(seed, num_shards):
     config = replace(BASE, seed=seed, days=6.0)
-    sharded = ShardedSimulation(config, num_shards=num_shards, workers=0)
+    sharded = ShardedSimulation(config, num_shards=num_shards)
     assert fingerprint(sharded.run()) == oracle_fingerprint(config)
 
 
-# ----------------------------------------------------------------------
-# Equality: worker processes
-# ----------------------------------------------------------------------
+def test_four_shards_match_oracle():
+    sharded = ShardedSimulation(BASE, num_shards=4)
+    assert sharded.num_shards == 4
+    assert fingerprint(sharded.run()) == oracle_fingerprint(BASE)
 
 
-def test_workers_match_oracle():
-    config = BASE
-    sharded = ShardedSimulation(config, num_shards=4, workers=2)
-    assert sharded.num_workers == 2
-    assert fingerprint(sharded.run()) == oracle_fingerprint(config)
-
-
-def test_workers_match_serial_shards_with_chaos():
+def test_four_shards_match_oracle_with_chaos():
     config = replace(BASE, chaos_node_flaps=6, chaos_corrupt_units=25)
-    serial = ShardedSimulation(config, num_shards=4, workers=0).run()
-    workers = ShardedSimulation(config, num_shards=4, workers=2).run()
-    assert fingerprint(workers) == fingerprint(serial)
-
-
-def test_repro_parallel_0_forces_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
-    simulation = ShardedSimulation(BASE, num_shards=4)
-    assert simulation.num_workers == 0
-    assert fingerprint(simulation.run()) == oracle_fingerprint(BASE)
-
-
-def test_explicit_parallel_spawns_workers():
-    """``parallel=True`` forces worker processes even on one CPU."""
-    simulation = ShardedSimulation(BASE, num_shards=2, parallel=True)
-    assert simulation.num_workers >= 1
-    assert fingerprint(simulation.run()) == oracle_fingerprint(BASE)
+    result = ShardedSimulation(config, num_shards=4).run()
+    assert fingerprint(result) == oracle_fingerprint(config)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +141,7 @@ def test_merged_counters_equal_serial_exactly():
     """Shard-merged TrafficMeter/RecoveryStats == the oracle's, field
     by field -- integer equality, not approximate."""
     oracle = WarehouseSimulation(BASE).run()
-    merged = ShardedSimulation(BASE, num_shards=4, workers=2).run()
+    merged = ShardedSimulation(BASE, num_shards=4).run()
     o_s, m_s = oracle.stats, merged.stats
     assert m_s.blocks_recovered == o_s.blocks_recovered
     assert m_s.bytes_downloaded == o_s.bytes_downloaded
@@ -188,7 +168,7 @@ def test_shard_metrics_recorded():
     obs_registry.set_enabled(True)
     obs_registry.reset()
     try:
-        ShardedSimulation(BASE, num_shards=3, workers=0).run()
+        ShardedSimulation(BASE, num_shards=3).run()
         snap = obs_registry.get_registry().snapshot()
         counters, gauges = snap["counters"], snap["gauges"]
         assert counters["sim.shard.runs"] == 1
@@ -198,7 +178,6 @@ def test_shard_metrics_recorded():
         assert counters["sim.shard.ops"] > 0
         assert counters["sim.shard.merge_bytes"] > 0
         assert gauges["sim.shard.shards"] == 3
-        assert gauges["sim.shard.workers"] == 0
     finally:
         obs_registry.reset()
         obs_registry.set_enabled(None)
@@ -229,47 +208,67 @@ def test_stripe_shard_ids_stable_and_balanced():
 def test_stream_mode_rejects_multiple_shards():
     config = replace(BASE, destination_draws="stream")
     with pytest.raises(ConfigError, match="stream"):
-        ShardedSimulation(config, num_shards=2, workers=0)
+        ShardedSimulation(config, num_shards=2)
 
 
-def test_stream_mode_rejects_workers():
-    config = replace(BASE, destination_draws="stream")
-    with pytest.raises(ConfigError, match="stream"):
-        ShardedSimulation(config, num_shards=1, workers=2)
+def test_rejects_zero_shards():
+    with pytest.raises(ConfigError, match="num_shards"):
+        ShardedSimulation(BASE, num_shards=0)
 
 
 def test_accepts_read_workload():
     # Reads resolve into the timeline and shard freely (formerly a
     # loud ConfigError).
     config = replace(BASE, reads_per_stripe_per_day=0.5)
-    sim = ShardedSimulation(config, num_shards=2, workers=0)
+    sim = ShardedSimulation(config, num_shards=2)
     assert sim.scheduler is None
-
-
-def test_throttled_recovery_degrades_workers_gracefully():
-    # Scheduler configs run, but coordinator-driven: worker processes
-    # degrade to in-process shards instead of raising or diverging.
-    config = replace(BASE, recovery_bandwidth_bytes_per_sec=1e9)
-    sim = ShardedSimulation(config, num_shards=2, workers=2)
-    assert sim.scheduler is not None
-    assert sim.num_workers == 0
 
 
 def test_stop_after_day_requires_checkpoint_path():
     with pytest.raises(ConfigError, match="checkpoint_path"):
-        ShardedSimulation(BASE, workers=0).run(stop_after_day=3)
+        ShardedSimulation(BASE).run(stop_after_day=3)
 
 
 def test_checkpoint_every_days_requires_path():
     with pytest.raises(ConfigError, match="checkpoint_path"):
-        ShardedSimulation(BASE, workers=0, checkpoint_every_days=2)
+        ShardedSimulation(BASE, checkpoint_every_days=2)
 
 
 def test_checkpoint_every_days_must_be_positive(tmp_path):
     with pytest.raises(ConfigError, match=">= 1"):
         ShardedSimulation(
             BASE,
-            workers=0,
             checkpoint_path=str(tmp_path / "c.ckpt"),
             checkpoint_every_days=0,
         )
+
+
+# ----------------------------------------------------------------------
+# Every shard runs in-process
+# ----------------------------------------------------------------------
+
+
+def test_sharded_engine_never_starts_a_process(monkeypatch, capsys):
+    """One shard by default; four shards on the plain, throttled and d3
+    configs match the oracle without a process start; the CLI's sharded
+    engine completes; a worker request is a loud ConfigError."""
+
+    def refuse(self):
+        raise AssertionError("the sharded engine started a process")
+
+    # Every Process class (fork, spawn, forkserver) inherits this start.
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert ShardedSimulation(BASE).num_shards == 1
+    for config in (
+        BASE,
+        replace(BASE, recovery_bandwidth_bytes_per_sec=1e9),
+        replace(BASE, placement_policy="d3"),
+    ):
+        result = ShardedSimulation(config, num_shards=4).run()
+        assert fingerprint(result) == oracle_fingerprint(config)
+    argv = ["simulate", "--engine", "sharded", "--days", "2",
+            "--stripes-per-node", "4"]
+    assert main(argv) == 0
+    assert "median blocks recovered/day" in capsys.readouterr().out
+    with pytest.raises(ConfigError, match="worker processes were removed"):
+        ShardedSimulation(BASE, workers=2)

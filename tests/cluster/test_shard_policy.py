@@ -2,8 +2,8 @@
 
 The contract this file pins: any repair-policy config (throttled pipe,
 priority/lazy queues, per-link model, hot spares, read workloads) run
-through :class:`ShardedSimulation` -- at any shard count, any worker
-request -- produces counters *field-by-field identical* to the serial
+through :class:`ShardedSimulation` -- at any shard count -- produces
+counters *field-by-field identical* to the serial
 :class:`WarehouseSimulation` oracle, and a checkpoint taken with a
 non-empty repair queue resumes bit-identically.
 """
@@ -100,12 +100,10 @@ def fingerprint(result):
     return d
 
 
-def assert_matches_oracle(config, num_shards, workers):
+def assert_matches_oracle(config, num_shards):
     serial = fingerprint(WarehouseSimulation(config).run())
     sharded = fingerprint(
-        ShardedSimulation(
-            config, num_shards=num_shards, workers=workers
-        ).run()
+        ShardedSimulation(config, num_shards=num_shards).run()
     )
     mismatched = [k for k in serial if serial[k] != sharded[k]]
     assert not mismatched, {
@@ -114,33 +112,32 @@ def assert_matches_oracle(config, num_shards, workers):
 
 
 # ----------------------------------------------------------------------
-# Oracle equality: code families x shard counts x worker layouts
+# Oracle equality: code families x shard counts
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("code_name", ["rs", "piggyback", "lrc"])
-@pytest.mark.parametrize("num_shards,workers", [(1, 0), (3, 0), (4, 2)])
-def test_throttled_matches_oracle(code_name, num_shards, workers):
+@pytest.mark.parametrize("num_shards", [1, 3, 4])
+def test_throttled_matches_oracle(code_name, num_shards):
     config = with_code(THROTTLED, code_name)
-    assert_matches_oracle(config, num_shards, workers)
+    assert_matches_oracle(config, num_shards)
 
 
 @pytest.mark.parametrize("code_name", ["rs", "piggyback", "lrc"])
 def test_full_policy_matches_oracle(code_name):
     config = with_code(FULL_POLICY, code_name)
-    assert_matches_oracle(config, num_shards=3, workers=0)
+    assert_matches_oracle(config, num_shards=3)
 
 
-def test_full_policy_matches_oracle_with_worker_request():
-    # Workers degrade to in-process shards; the result is unchanged.
-    assert_matches_oracle(FULL_POLICY, num_shards=4, workers=2)
+def test_full_policy_matches_oracle_four_shards():
+    assert_matches_oracle(FULL_POLICY, num_shards=4)
 
 
-@pytest.mark.parametrize("num_shards,workers", [(1, 0), (3, 0), (4, 2)])
-def test_reads_match_oracle_without_scheduler(num_shards, workers):
-    # Reads shard through worker processes when no scheduler runs.
+@pytest.mark.parametrize("num_shards", [1, 3, 4])
+def test_reads_match_oracle_without_scheduler(num_shards):
+    # Reads execute on the owning shard when no scheduler runs.
     config = replace(BASE, reads_per_stripe_per_day=0.05)
-    assert_matches_oracle(config, num_shards, workers)
+    assert_matches_oracle(config, num_shards)
 
 
 def test_lazy_priority_without_link_matches_oracle():
@@ -152,14 +149,14 @@ def test_lazy_priority_without_link_matches_oracle():
         lazy_repair=True,
         lazy_repair_delay_seconds=600.0,
     )
-    assert_matches_oracle(config, num_shards=2, workers=0)
+    assert_matches_oracle(config, num_shards=2)
 
 
 def test_spares_with_throttle_match_oracle():
     config = replace(
         THROTTLED, hot_spares_per_rack=2, reads_per_stripe_per_day=0.02
     )
-    assert_matches_oracle(config, num_shards=3, workers=0)
+    assert_matches_oracle(config, num_shards=3)
 
 
 # ----------------------------------------------------------------------
@@ -217,13 +214,11 @@ BACKLOG = replace(
 def test_checkpoint_mid_queue_resumes_bit_identical(tmp_path):
     serial = fingerprint(WarehouseSimulation(BACKLOG).run())
     path = os.path.join(tmp_path, "ckpt.npz")
-    sim = ShardedSimulation(
-        BACKLOG, num_shards=3, workers=0, checkpoint_path=path
-    )
+    sim = ShardedSimulation(BACKLOG, num_shards=3, checkpoint_path=path)
     assert sim.run(stop_after_day=2) is None
     # The contract needs a non-trivial queue at the cut.
     assert sim.scheduler.depth > 0
-    resumed = fingerprint(ShardedSimulation.resume(path, workers=0).run())
+    resumed = fingerprint(ShardedSimulation.resume(path).run())
     assert resumed == serial
 
 
@@ -232,15 +227,13 @@ def test_checkpoint_missing_scheduler_state_is_loud(tmp_path):
     from repro.errors import CheckpointError
 
     path = os.path.join(tmp_path, "ckpt.npz")
-    sim = ShardedSimulation(
-        BACKLOG, num_shards=2, workers=0, checkpoint_path=path
-    )
+    sim = ShardedSimulation(BACKLOG, num_shards=2, checkpoint_path=path)
     sim.run(stop_after_day=1)
     data = load_checkpoint(path)
     data.scheduler_state = None
     save_checkpoint(path, data)
     with pytest.raises(CheckpointError, match="queue state"):
-        ShardedSimulation.resume(path, workers=0)
+        ShardedSimulation.resume(path)
 
 
 @settings(
@@ -263,12 +256,10 @@ def test_checkpoint_sweep_resumes_identical(tmp_path, seed, code_name, stop_day)
         nodes_per_rack=5,
         stripes_per_node=12.0,
     )
-    straight = fingerprint(
-        ShardedSimulation(config, num_shards=2, workers=0).run()
-    )
+    straight = fingerprint(ShardedSimulation(config, num_shards=2).run())
     path = os.path.join(tmp_path, f"ckpt-{seed}-{code_name}-{stop_day}.npz")
-    ShardedSimulation(
-        config, num_shards=2, workers=0, checkpoint_path=path
-    ).run(stop_after_day=stop_day)
-    resumed = fingerprint(ShardedSimulation.resume(path, workers=0).run())
+    ShardedSimulation(config, num_shards=2, checkpoint_path=path).run(
+        stop_after_day=stop_day
+    )
+    resumed = fingerprint(ShardedSimulation.resume(path).run())
     assert resumed == straight

@@ -9,14 +9,13 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import run_code_comparison
 from repro.cluster.sweep import (
-    _decide_parallel,
+    decide_parallel,
     parallel_map,
     replicated_configs,
     run_many,
     spawn_seeds,
 )
 from repro.errors import ConfigError
-from repro.parallel import decide_parallel
 
 SMALL = ClusterConfig(
     num_racks=15,
@@ -58,13 +57,13 @@ class TestParallelMap:
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "0")
-        assert not _decide_parallel(8, parallel=None)
+        assert not decide_parallel(8, parallel=None)
         # An explicit request still wins over the environment.
-        assert _decide_parallel(8, parallel=True)
+        assert decide_parallel(8, parallel=True)
 
     def test_single_task_stays_serial(self):
-        assert not _decide_parallel(1, parallel=None)
-        assert not _decide_parallel(1, parallel=True)
+        assert not decide_parallel(1, parallel=None)
+        assert not decide_parallel(1, parallel=True)
 
 
 def test_decide_parallel_rules(monkeypatch):
@@ -80,16 +79,16 @@ class TestParallelEnvValidation:
     def test_sweep_shares_the_same_helper(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "2")
         with pytest.raises(ConfigError):
-            _decide_parallel(8, None)
+            decide_parallel(8, None)
 
     def test_valid_values_still_work(self, monkeypatch):
         import os
 
         monkeypatch.setenv("REPRO_PARALLEL", "1")
         # "1" permits pools; whether one is used still depends on CPUs.
-        assert _decide_parallel(8, None) == ((os.cpu_count() or 1) > 1)
+        assert decide_parallel(8, None) == ((os.cpu_count() or 1) > 1)
         monkeypatch.setenv("REPRO_PARALLEL", "0")
-        assert not _decide_parallel(8, None)
+        assert not decide_parallel(8, None)
 
 
 class TestRunMany:

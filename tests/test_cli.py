@@ -156,8 +156,8 @@ class TestBenchCommand:
         payload = json.loads(capsys.readouterr().out)
         meta = payload["meta"]
         assert meta["numpy"]
-        assert meta["gf_backend"] in ("numpy", "cffi", "numba")
-        assert set(meta["gf_backends"]) == {"numpy", "cffi", "numba"}
+        assert meta["gf_backend"] in ("numpy", "cffi")
+        assert set(meta["gf_backends"]) == {"numpy", "cffi"}
         rows = payload["rows"]
         numpy_rows = [r for r in rows if r["backend"] == "numpy"]
         assert len(numpy_rows) == 6
