@@ -130,7 +130,6 @@ def test_sharded_simulator_throughput():
         "days": report["days"],
         "num_nodes": report["num_nodes"],
         "rounds": report["rounds"],
-        "num_shards": report["num_shards"],
         "mean_s": report["sharded"]["mean_s"],
         "median_s": report["sharded"]["median_s"],
         "best_s": report["sharded"]["best_s"],
@@ -169,7 +168,6 @@ def test_throttled_recovery_throughput():
         "days": report["days"],
         "num_nodes": report["num_nodes"],
         "rounds": report["rounds"],
-        "num_shards": report["num_shards"],
         "mean_s": report["sharded"]["mean_s"],
         "median_s": report["sharded"]["median_s"],
         "best_s": report["sharded"]["best_s"],

@@ -324,14 +324,13 @@ def _simulation_fingerprint(result) -> tuple:
 
 def run_simulator_comparison(
     rounds: Optional[int] = None,
-    num_shards: int = 1,
     config=None,
 ) -> Dict[str, object]:
     """Time the sharded epoch engine against the serial oracle.
 
     Both engines are constructed outside the clock each round (the
-    timed region is ``run()``; for the sharded engine that includes
-    timeline resolution and shard construction -- its real per-run
+    timed region is ``run()``; for the epoch engine that includes
+    timeline resolution and store construction -- its real per-run
     cost).  The two trajectories are also compared outright: a speedup
     over a *different* answer would be meaningless.
     """
@@ -350,9 +349,7 @@ def run_simulator_comparison(
         state["oracle"] = WarehouseSimulation(config).run()
 
     def run_sharded():
-        state["sharded"] = ShardedSimulation(
-            config, num_shards=num_shards
-        ).run()
+        state["sharded"] = ShardedSimulation(config).run()
 
     run_oracle()  # warm plan/layout caches outside the clock
     oracle_stats = time_workload(run_oracle, rounds)
@@ -372,7 +369,6 @@ def run_simulator_comparison(
         "code": config.code_name,
         "destination_draws": config.destination_draws,
         "rounds": rounds,
-        "num_shards": num_shards,
         "oracle": dict(oracle_stats, days_per_s=oracle_days_per_s),
         "sharded": dict(sharded_stats, days_per_s=sharded_days_per_s),
         "speedup_median": sharded_days_per_s / oracle_days_per_s,

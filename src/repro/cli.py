@@ -153,11 +153,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params = {"replicas": 3}
     destination_draws = args.destination_draws
     if destination_draws is None:
-        # The sharded engine needs order-independent draws to split
-        # work across shards; the serial engine keeps its golden
-        # stream-mode trajectories.  The per-link repair model also
-        # requires hashed draws (destinations must be known at submit
-        # time), so requesting it flips the default too.
+        # The sharded engine defaults to order-independent hashed
+        # draws (it matches the serial engine under either mode); the
+        # serial engine keeps its golden stream-mode trajectories.
+        # The per-link repair model also requires hashed draws
+        # (destinations must be known at submit time), so requesting
+        # it flips the default too.
         # d3 placement and parallel waves replace the shared stream
         # with deterministic / hashed draws, so they flip it as well.
         destination_draws = (
@@ -197,7 +198,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         result = ShardedSimulation(
             config,
-            num_shards=args.shards,
             checkpoint_path=args.checkpoint,
             checkpoint_every_days=args.checkpoint_every_days,
         ).run()
@@ -600,9 +600,7 @@ def _cmd_bench_simulator(args: argparse.Namespace) -> int:
     from repro.bench import bench_meta, run_simulator_comparison
 
     meta = bench_meta()
-    report = run_simulator_comparison(
-        rounds=args.rounds, num_shards=args.shards
-    )
+    report = run_simulator_comparison(rounds=args.rounds)
     if args.json:
         import json
 
@@ -624,7 +622,7 @@ def _cmd_bench_simulator(args: argparse.Namespace) -> int:
             "days/s": round(report["oracle"]["days_per_s"], 1),
         },
         {
-            "engine": f"sharded x{report['num_shards']}",
+            "engine": "epoch engine",
             "median s": round(report["sharded"]["median_s"], 3),
             "days/s": round(report["sharded"]["days_per_s"], 1),
         },
@@ -815,14 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["serial", "sharded"],
         default="serial",
         help="simulation engine: the serial oracle or the sharded "
-        "epoch engine (identical trajectories under hashed draws)",
-    )
-    sim_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="stripe shards for --engine sharded, all run in-process "
-        "(default: 1)",
+        "epoch engine (identical trajectories under the same draws)",
     )
     sim_parser.add_argument(
         "--checkpoint",
@@ -946,13 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare the sharded cluster simulator against the serial "
         "oracle (simulated days/s) instead of the codec backends",
-    )
-    bench_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="stripe shards for --simulator, all run in-process "
-        "(default: 1)",
     )
     bench_parser.set_defaults(fn=_cmd_bench)
 

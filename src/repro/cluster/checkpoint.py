@@ -1,4 +1,4 @@
-"""Versioned snapshots of a sharded simulation run.
+"""Versioned snapshots of an epoch-engine simulation run.
 
 A checkpoint captures everything :class:`~repro.cluster.shard.ShardedSimulation`
 needs to continue a run mid-flight with a bit-identical trajectory:
@@ -8,21 +8,24 @@ needs to continue a run mid-flight with a bit-identical trajectory:
 - the epoch cursor (``next_epoch`` -- the first day not yet applied),
 - the rng generator states (recovery flips; placement-policy stream for
   ``destination_draws="stream"`` runs),
-- coordinator flip counters and the node-availability replica,
-- per-shard mutable state: placement rows, missing bits, per-node unit
-  lists (ragged-encoded, order preserved -- the order is part of the
-  determinism contract), recovery stats, and traffic-meter aggregates.
+- coordinator flip counters and the node-availability table,
+- the stripe store's mutable state: placement rows, missing bits,
+  per-node unit lists (ragged-encoded, order preserved -- the order is
+  part of the determinism contract), recovery stats, and traffic-meter
+  aggregates.
 
 What it deliberately does *not* store: the failure timeline (a pure
 function of the config, re-resolved on resume), unit sizes' provenance
-(stored verbatim per shard), and the corrupt-unit mask (re-derived
-from the chaos config).
+(stored verbatim), and the corrupt-unit mask (re-derived from the
+chaos config).
 
 Format: a single ``np.savez`` archive -- raw arrays keyed
 ``shard{i}_{name}`` plus one JSON document under ``meta`` for
-everything scalar.  Writes go through a temp file and ``os.replace`` so
-a crash mid-write never corrupts the previous snapshot.  ``version``
-gates the whole format: a mismatch raises
+everything scalar.  The layout keeps a list of shard states, but the
+engine writes exactly one (``num_shards: 1``, the whole store) and
+refuses to resume from more.  Writes go through a temp file and
+``os.replace`` so a crash mid-write never corrupts the previous
+snapshot.  ``version`` gates the whole format: a mismatch raises
 :class:`~repro.errors.CheckpointError` rather than guessing.
 """
 

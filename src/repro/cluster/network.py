@@ -230,28 +230,6 @@ class TrafficMeter:
             )
         return int(cross.sum())
 
-    def merge_from(self, other: "TrafficMeter") -> None:
-        """Fold another meter's aggregates into this one.
-
-        Every aggregate is an order-invariant integer sum (or a dict of
-        them), so merging per-shard meters reproduces exactly what one
-        meter charging every transfer would hold -- the property the
-        sharded simulator's equality contract rests on.  Transfer logs
-        concatenate (shard order, not global time order).
-        """
-        self.total_bytes += other.total_bytes
-        self.cross_rack_bytes += other.cross_rack_bytes
-        self.intra_rack_bytes += other.intra_rack_bytes
-        self.num_transfers += other.num_transfers
-        for purpose, total in other.bytes_by_purpose.items():
-            self.bytes_by_purpose[purpose] += total
-        for day, total in other.cross_rack_bytes_by_day.items():
-            self.cross_rack_bytes_by_day[day] += total
-        for switch, total in other.bytes_by_switch.items():
-            self.bytes_by_switch[switch] += total
-        if other.transfers:
-            self.transfers.extend(other.transfers)
-
     def daily_cross_rack_series(
         self,
         num_days: Optional[int] = None,

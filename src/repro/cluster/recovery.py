@@ -86,8 +86,8 @@ class RecoveryStats:
     #: and batched paths.
     corrupt_survivors_excluded: int = 0
     #: Repair-policy engine counters; all zero unless a scheduler is
-    #: active.  Waits are integer microseconds so shard merges stay
-    #: exact sums.
+    #: active.  Waits are integer microseconds so every engine's sums
+    #: stay exact.
     deferred_repairs: int = 0
     promoted_repairs: int = 0
     queue_peak_depth: int = 0
@@ -103,37 +103,6 @@ class RecoveryStats:
     #: how many extra units rode along with a leader's decode.
     parallel_waves: int = 0
     wave_extra_units: int = 0
-
-    def merge_from(self, other: "RecoveryStats") -> None:
-        """Fold another stats object into this one (exact integer sums).
-
-        Per-shard recovery counters are disjoint unit counts, so summing
-        them reproduces the serial service's stats exactly; latency
-        lists concatenate (only the throttled path fills them, which the
-        sharded engine does not support).
-        """
-        self.blocks_recovered += other.blocks_recovered
-        for day, count in other.blocks_recovered_by_day.items():
-            self.blocks_recovered_by_day[day] += count
-        self.bytes_downloaded += other.bytes_downloaded
-        for count, occurrences in other.degraded_histogram.items():
-            self.degraded_histogram[count] += occurrences
-        self.unrecoverable_units += other.unrecoverable_units
-        self.flagged_events_recovered += other.flagged_events_recovered
-        self.flagged_events_skipped += other.flagged_events_skipped
-        self.repair_latencies.extend(other.repair_latencies)
-        self.cancelled_recoveries += other.cancelled_recoveries
-        self.corrupt_survivors_excluded += other.corrupt_survivors_excluded
-        self.deferred_repairs += other.deferred_repairs
-        self.promoted_repairs += other.promoted_repairs
-        self.queue_peak_depth = max(
-            self.queue_peak_depth, other.queue_peak_depth
-        )
-        self.queue_wait_us += other.queue_wait_us
-        self.urgent_wait_us += other.urgent_wait_us
-        self.spare_placements += other.spare_placements
-        self.parallel_waves += other.parallel_waves
-        self.wave_extra_units += other.wave_extra_units
 
     def daily_blocks_series(self, num_days: int) -> List[int]:
         return [
@@ -243,8 +212,8 @@ class RecoveryService:
         self._dest_entropy = destination_entropy
         #: Count of flag events seen, in event order; the counter the
         #: hashed destination draws mix in.  Advances for *every*
-        #: on_node_flagged call (triggered or skipped) so sharded
-        #: coordinators can reproduce it from the timeline alone.
+        #: on_node_flagged call (triggered or skipped) so the epoch
+        #: engine can reproduce it from the timeline alone.
         self._flag_ordinal = 0
         self.store = store
         self.state = state
@@ -320,8 +289,8 @@ class RecoveryService:
         Units are submitted in the store's per-node query order
         (never-relocated units in uid order, relocated-in units
         appended) -- the identical order the historical throttled
-        enqueue used, and the one the sharded coordinator's node
-        trajectories reproduce.  Plans are resolved at enqueue time to
+        enqueue used, and the one the epoch engine's node lists
+        reproduce.  Plans are resolved at enqueue time to
         size each job's download; unplannable units count as
         unrecoverable right here, exactly like the historical enqueue.
         """

@@ -24,7 +24,7 @@ nearly all the data-loss risk.  A flat FIFO treats both the same.  The
 The scheduler is a pure, deterministic state machine: no wall clock, no
 rng, no knowledge of stores or placements.  Engines ``submit`` jobs,
 ``advance`` the clock, and apply the completed jobs that come back --
-which is what lets the serial DES oracle and the sharded coordinator
+which is what lets the serial DES oracle and the epoch engine's coordinator
 share one implementation and stay bit-identical.  Configured as a flat
 FIFO over one aggregate pipe it reproduces the historical throttled
 law exactly: a job is assigned the moment the pipe frees, so the

@@ -46,25 +46,6 @@ class ReadStats:
     degraded_read_latency_us: int = 0
     degraded_read_latency_max_us: int = 0
 
-    def merge_from(self, other: "ReadStats") -> None:
-        """Fold another stats object into this one (exact sums/max).
-
-        Per-shard read counters are disjoint, so integer sums (and a
-        max for the worst-case latency) reproduce the serial workload's
-        stats exactly -- the merge law the sharded engine relies on.
-        """
-        self.reads += other.reads
-        self.healthy_reads += other.healthy_reads
-        self.degraded_reads += other.degraded_reads
-        self.failed_reads += other.failed_reads
-        self.healthy_bytes += other.healthy_bytes
-        self.degraded_bytes += other.degraded_bytes
-        self.degraded_read_latency_us += other.degraded_read_latency_us
-        self.degraded_read_latency_max_us = max(
-            self.degraded_read_latency_max_us,
-            other.degraded_read_latency_max_us,
-        )
-
     @property
     def degraded_fraction(self) -> float:
         return self.degraded_reads / self.reads if self.reads else 0.0

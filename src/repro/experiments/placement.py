@@ -28,9 +28,7 @@ stays flat.
 
 Every variant runs through :class:`ShardedSimulation`; at smoke size
 each is cross-checked bit-for-bit against the serial
-:class:`WarehouseSimulation` oracle, and the d3+parallel cell is
-additionally re-run at a different shard count to pin partitioning
-invariance.
+:class:`WarehouseSimulation` oracle.
 """
 
 from __future__ import annotations
@@ -143,7 +141,6 @@ def placement_ablation(
     results: Dict[str, SimulationResult] = {}
     load_spreads: Dict[str, float] = {}
     gb_per_block: Dict[str, float] = {}
-    shard_invariant: Optional[bool] = None
     for name, config in matrix.items():
         start = time.perf_counter()
         # Transfer logs are per-transfer objects; keep them for the
@@ -157,13 +154,6 @@ def placement_ablation(
             oracle_match = _fingerprint(
                 WarehouseSimulation(config).run()
             ) == _fingerprint(result)
-            if name == "d3_parallel":
-                # Partitioning invariance: a different shard count (3
-                # against the default 1) must replay the identical
-                # trajectory.
-                shard_invariant = _fingerprint(
-                    ShardedSimulation(config, num_shards=3).run()
-                ) == _fingerprint(result)
         stats = result.stats
         received = _destination_traffic(result, npr, base.num_racks)
         latency = _latency_quantiles(stats)
@@ -214,13 +204,6 @@ def placement_ablation(
             "value": gb_per_block["d3_parallel"] < gb_per_block["d3_serial"],
         },
     ]
-    if shard_invariant is not None:
-        summary.append(
-            {
-                "check": "d3+parallel invariant across shard counts",
-                "value": shard_invariant,
-            }
-        )
     return ExperimentResult(
         experiment_id="placement_ablation",
         title="placement ablation (distinct-rack/d3 x serial/parallel waves)",
@@ -231,7 +214,6 @@ def placement_ablation(
             "results": results,
             "load_spreads": load_spreads,
             "bytes_per_block": gb_per_block,
-            "shard_invariant": shard_invariant,
         },
     )
 

@@ -79,8 +79,7 @@ def _run_scenario(
     full: bool,
 ) -> ExperimentResult:
     start = time.perf_counter()
-    simulation = ShardedSimulation(config)
-    result = simulation.run()
+    result = ShardedSimulation(config).run()
     wall = time.perf_counter() - start
 
     oracle_match: Optional[bool] = None
@@ -94,7 +93,6 @@ def _run_scenario(
         {"metric": "machines", "value": config.num_nodes},
         {"metric": "stripes", "value": config.num_stripes},
         {"metric": "simulated days", "value": config.days},
-        {"metric": "shards", "value": simulation.num_shards},
         {"metric": "wall seconds", "value": round(wall, 2)},
         {"metric": "simulated days/s", "value": round(config.days / wall, 1)},
         {

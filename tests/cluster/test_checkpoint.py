@@ -1,10 +1,12 @@
-"""Checkpoint/restore determinism for the sharded epoch engine.
+"""Checkpoint/restore determinism for the epoch engine.
 
 The contract (DESIGN §5h): stopping a run at any epoch boundary,
 reloading the snapshot -- possibly in a different process -- and
 finishing produces the *bit-identical* trajectory of a straight-through
 run.  Snapshots are versioned (``CHECKPOINT_VERSION``); a mismatch is a
 loud :class:`~repro.errors.CheckpointError`, never a silent misread.
+The engine writes one shard state (its whole stripe store) and refuses
+a snapshot that carries more.
 """
 
 import json
@@ -30,12 +32,12 @@ CONFIG = replace(BASE, days=8.0)
 
 
 def straight_through(config):
-    return fingerprint(ShardedSimulation(config, num_shards=3).run())
+    return fingerprint(ShardedSimulation(config).run())
 
 
 def stop_and_resume(config, tmp_path, stop_day):
     path = str(tmp_path / "snap.ckpt")
-    first = ShardedSimulation(config, num_shards=3, checkpoint_path=path)
+    first = ShardedSimulation(config, checkpoint_path=path)
     assert first.run(stop_after_day=stop_day) is None
     resumed = ShardedSimulation.resume(path)
     result = resumed.run()
@@ -72,17 +74,17 @@ def test_stream_mode_round_trip(tmp_path):
     """Stream draws carry live rng state; the snapshot must restore it."""
     config = replace(CONFIG, destination_draws="stream")
     path = str(tmp_path / "snap.ckpt")
-    first = ShardedSimulation(config, num_shards=1, checkpoint_path=path)
+    first = ShardedSimulation(config, checkpoint_path=path)
     assert first.run(stop_after_day=3) is None
     result = ShardedSimulation.resume(path).run()
-    straight = ShardedSimulation(config, num_shards=1).run()
+    straight = ShardedSimulation(config).run()
     assert fingerprint(result) == fingerprint(straight)
 
 
 def test_chained_sessions(tmp_path):
     """Three sessions, two resumes -- the ten-cluster-year shape."""
     path = str(tmp_path / "snap.ckpt")
-    sim = ShardedSimulation(CONFIG, num_shards=3, checkpoint_path=path)
+    sim = ShardedSimulation(CONFIG, checkpoint_path=path)
     assert sim.run(stop_after_day=2) is None
     assert ShardedSimulation.resume(path).run(stop_after_day=5) is None
     result = ShardedSimulation.resume(path).run()
@@ -95,7 +97,6 @@ def test_periodic_checkpoints_do_not_perturb(tmp_path):
     path = str(tmp_path / "snap.ckpt")
     sim = ShardedSimulation(
         CONFIG,
-        num_shards=3,
         checkpoint_path=path,
         checkpoint_every_days=2,
     )
@@ -132,7 +133,6 @@ def _write_snapshot(tmp_path):
     path = str(tmp_path / "snap.ckpt")
     sim = ShardedSimulation(
         replace(CONFIG, days=4.0),
-        num_shards=2,
         checkpoint_path=path,
     )
     assert sim.run(stop_after_day=2) is None
@@ -179,10 +179,10 @@ def test_snapshot_is_self_describing(tmp_path):
     data = load_checkpoint(path)
     assert data.config == replace(CONFIG, days=4.0)
     assert data.version == CHECKPOINT_VERSION
-    assert data.num_shards == 2
+    assert data.num_shards == 1
     assert 0 < data.next_epoch
     assert data.is_up.dtype == np.bool_
-    assert len(data.shard_states) == 2
+    assert len(data.shard_states) == 1
 
 
 def test_meta_is_json(tmp_path):
@@ -192,4 +192,19 @@ def test_meta_is_json(tmp_path):
         meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
     assert meta["version"] == CHECKPOINT_VERSION
     assert meta["config"]["seed"] == CONFIG.seed
-    assert len(meta["shards"]) == 2
+    assert len(meta["shards"]) == 1
+
+
+def test_resume_refuses_multiple_shard_states(tmp_path):
+    """A snapshot of a stripe partition (two shard states) cannot be
+    resumed by a one-store engine: loud, with the count and the fix."""
+    path = _write_snapshot(tmp_path)
+    data = load_checkpoint(path)
+    data.shard_states = [data.shard_states[0], dict(data.shard_states[0])]
+    data.num_shards = 2
+    save_checkpoint(path, data)
+    assert len(load_checkpoint(path).shard_states) == 2
+    with pytest.raises(
+        CheckpointError, match=r"2 shard states.*re-create the snapshot"
+    ):
+        ShardedSimulation.resume(path)

@@ -4,9 +4,11 @@ A stripe with ``a`` concurrent erasures is rebuilt in one wave costing
 ``k + a - 1`` unit transfers (one ``k``-unit decode at the leader
 destination plus one forward per extra unit) instead of ``a``
 independent ``k``-unit repairs.  These tests pin the accounting, the
-savings, and -- the hard part -- that the sharded engine replays the
+savings, and -- the hard part -- that the epoch engine replays the
 serial oracle bit for bit with waves on, for both the stateless hashed
-draws and the stateful d3 policy (which runs coordinator-driven).
+draws and the stateful d3 policy (both walk a flag's units one at a
+time).  The engine keeps one stripe store; the ``num_shards`` axis
+checks that the ignored keyword changes nothing.
 """
 
 import numpy as np
@@ -113,7 +115,7 @@ class TestShardedMatchesSerial:
     def test_d3_serial_waves_off_bit_identical(self):
         config = _config(placement_policy="d3")
         oracle = _fingerprint(WarehouseSimulation(config).run())
-        sharded = ShardedSimulation(config, num_shards=3).run()
+        sharded = ShardedSimulation(config).run()
         assert _fingerprint(sharded) == oracle
 
     def test_throttled_d3_parallel_bit_identical(self):
@@ -126,14 +128,14 @@ class TestShardedMatchesSerial:
             repair_link_gbps=1.0,
         )
         oracle = _fingerprint(WarehouseSimulation(config).run())
-        sharded = ShardedSimulation(config, num_shards=3).run()
+        sharded = ShardedSimulation(config).run()
         assert _fingerprint(sharded) == oracle
 
     def test_rack_unit_load_matches_serial_store(self):
         config = _config(placement_policy="d3", parallel_repair=True)
         serial = WarehouseSimulation(config)
         serial.run()
-        sharded = ShardedSimulation(config, num_shards=3)
+        sharded = ShardedSimulation(config)
         sharded.run()
         racks = np.asarray(serial.store.placement) // config.nodes_per_rack
         want = np.bincount(racks.ravel(), minlength=config.num_racks)
@@ -146,7 +148,7 @@ class TestCheckpointResume:
         config = _config(placement_policy=placement, parallel_repair=True)
         oracle = _fingerprint(WarehouseSimulation(config).run())
         path = str(tmp_path / "ck.npz")
-        ShardedSimulation(config, num_shards=3, checkpoint_path=path).run(
+        ShardedSimulation(config, checkpoint_path=path).run(
             stop_after_day=3
         )
         resumed = ShardedSimulation.resume(path).run()

@@ -1,14 +1,14 @@
-"""Sharded epoch engine == serial oracle, bit-for-bit.
+"""Epoch engine == serial oracle, bit-for-bit.
 
 The contract (DESIGN §5h): :class:`~repro.cluster.shard.ShardedSimulation`
 produces the exact trajectory of :class:`WarehouseSimulation` for the
 same config -- every per-day series, the degraded histogram, every
 counter in :class:`RecoveryStats` and every aggregate in
-:class:`TrafficMeter` -- regardless of shard count.
-Under ``destination_draws="hashed"`` destinations are a pure hash of
-(stripe uid, flag ordinal, entropy), so the partition is free to
-reorder work; under the legacy ``"stream"`` mode only the serial
-1-shard layout is legal and anything else is a loud ``ConfigError``.
+:class:`TrafficMeter` -- under hashed and stream destination draws.
+The engine keeps one stripe store and applies each op once;
+``num_shards`` is an accepted keyword that changes nothing, so the tests
+that pass several values check exactly that against the oracle (whose
+fingerprint is computed once per config).
 
 The comparisons here are over order-invariant aggregates (sorted dict
 items, per-day series), the same keys the sweep and bench layers
@@ -24,13 +24,13 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cluster.config import ClusterConfig
-from repro.cluster.shard import ShardedSimulation, stripe_shard_ids
+from repro.cluster.shard import ShardedSimulation, ShardState
 from repro.cluster.simulation import WarehouseSimulation
 from repro.errors import ConfigError
 from repro.observability import registry as obs_registry
 
-#: Small but non-trivial: 480 machines, enough flags per day that every
-#: shard sees work, two codes' worth of degraded stripes.
+#: Small but non-trivial: 480 machines, several flags per day, two
+#: codes' worth of degraded stripes.
 BASE = ClusterConfig(
     num_racks=40,
     nodes_per_rack=12,
@@ -75,12 +75,20 @@ def fingerprint(result):
     )
 
 
+_ORACLE = {}
+
+
 def oracle_fingerprint(config):
-    return fingerprint(WarehouseSimulation(config).run())
+    """The oracle's fingerprint, run once per config (it is
+    deterministic)."""
+    key = repr(config)
+    if key not in _ORACLE:
+        _ORACLE[key] = fingerprint(WarehouseSimulation(config).run())
+    return _ORACLE[key]
 
 
 # ----------------------------------------------------------------------
-# Equality: serial shards
+# Equality: one store, whatever num_shards is passed
 # ----------------------------------------------------------------------
 
 
@@ -95,16 +103,19 @@ def test_serial_shards_match_oracle(code_name, num_shards):
 
 
 def test_stream_mode_single_shard_matches_oracle():
-    """Legacy stream draws stay bit-exact in the only legal layout."""
+    """Legacy stream draws stay bit-exact: the vectorised flag step
+    draws destinations in the serial engine's order, whatever
+    num_shards is passed."""
     config = replace(BASE, destination_draws="stream")
-    sharded = ShardedSimulation(config, num_shards=1)
-    assert fingerprint(sharded.run()) == oracle_fingerprint(config)
+    for num_shards in (1, 2):
+        sharded = ShardedSimulation(config, num_shards=num_shards)
+        assert fingerprint(sharded.run()) == oracle_fingerprint(config)
 
 
 def test_chaos_matches_oracle():
-    """Node flaps + latent corruption partition cleanly too."""
+    """Node flaps + latent corruption replay exactly too."""
     config = replace(BASE, chaos_node_flaps=6, chaos_corrupt_units=25)
-    result = ShardedSimulation(config, num_shards=3).run()
+    result = ShardedSimulation(config).run()
     assert result.stats.corrupt_survivors_excluded > 0
     assert fingerprint(result) == oracle_fingerprint(config)
 
@@ -122,7 +133,6 @@ def test_any_seed_any_shard_count_matches_oracle(seed, num_shards):
 
 def test_four_shards_match_oracle():
     sharded = ShardedSimulation(BASE, num_shards=4)
-    assert sharded.num_shards == 4
     assert fingerprint(sharded.run()) == oracle_fingerprint(BASE)
 
 
@@ -133,15 +143,15 @@ def test_four_shards_match_oracle_with_chaos():
 
 
 # ----------------------------------------------------------------------
-# Merged counters == serial counters, exactly (satellite 3)
+# Counters == serial counters, exactly
 # ----------------------------------------------------------------------
 
 
 def test_merged_counters_equal_serial_exactly():
-    """Shard-merged TrafficMeter/RecoveryStats == the oracle's, field
+    """The engine's TrafficMeter/RecoveryStats == the oracle's, field
     by field -- integer equality, not approximate."""
     oracle = WarehouseSimulation(BASE).run()
-    merged = ShardedSimulation(BASE, num_shards=4).run()
+    merged = ShardedSimulation(BASE).run()
     o_s, m_s = oracle.stats, merged.stats
     assert m_s.blocks_recovered == o_s.blocks_recovered
     assert m_s.bytes_downloaded == o_s.bytes_downloaded
@@ -165,6 +175,9 @@ def test_merged_counters_equal_serial_exactly():
 
 
 def test_shard_metrics_recorded():
+    """Run counters, plus the flag step's plan-cache and batch-size
+    metrics with the serial engine's meaning: one hit or miss per
+    degraded unit, one batch-size sample per flag."""
     obs_registry.set_enabled(True)
     obs_registry.reset()
     try:
@@ -176,39 +189,56 @@ def test_shard_metrics_recorded():
         # the last configured day still apply, exactly like the oracle).
         assert counters["sim.shard.epochs"] >= int(BASE.days)
         assert counters["sim.shard.ops"] > 0
-        assert counters["sim.shard.merge_bytes"] > 0
-        assert gauges["sim.shard.shards"] == 3
+        assert "sim.shard.shards" not in gauges
+        assert not any("imbalance" in name for name in snap["histograms"])
+        engine = (
+            counters["recovery.plan_cache.hits"],
+            counters["recovery.plan_cache.misses"],
+            snap["histograms"]["recovery.batch.size"],
+        )
+        obs_registry.reset()
+        WarehouseSimulation(BASE).run()
+        snap = obs_registry.get_registry().snapshot()
+        counters = snap["counters"]
+        assert engine == (
+            counters["recovery.plan_cache.hits"],
+            counters["recovery.plan_cache.misses"],
+            snap["histograms"]["recovery.batch.size"],
+        )
+        assert engine[0] > engine[1] > 0
     finally:
         obs_registry.reset()
         obs_registry.set_enabled(None)
 
 
-# ----------------------------------------------------------------------
-# Shard assignment
-# ----------------------------------------------------------------------
+def test_flag_op_applies_once(monkeypatch):
+    """Whatever num_shards is passed, the engine builds one store and
+    runs the flag step once per triggered flag."""
+    built, flagged = [], []
+    init, step = ShardState.__init__, ShardState._node_flagged
 
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-def test_stripe_shard_ids_stable_and_balanced():
-    ids = stripe_shard_ids(10_000, 8)
-    assert ids.shape == (10_000,)
-    assert set(ids.tolist()) == set(range(8))
-    counts = [int((ids == s).sum()) for s in range(8)]
-    assert max(counts) - min(counts) < 10_000 * 0.2
-    # Stable: the assignment is a pure function of (uid, num_shards).
-    assert (stripe_shard_ids(10_000, 8) == ids).all()
-    # Prefix-stable under a different total: hash of uid, not position.
-    assert (stripe_shard_ids(5_000, 8) == ids[:5_000]).all()
+    def counting_step(self, node, time, ordinal):
+        flagged.append(ordinal)
+        return step(self, node, time, ordinal)
+
+    monkeypatch.setattr(ShardState, "__init__", counting_init)
+    monkeypatch.setattr(ShardState, "_node_flagged", counting_step)
+    for num_shards in (1, 4):
+        built.clear()
+        flagged.clear()
+        result = ShardedSimulation(BASE, num_shards=num_shards).run()
+        assert len(built) == 1
+        assert len(flagged) == result.stats.flagged_events_recovered > 0
+        assert len(set(flagged)) == len(flagged)
 
 
 # ----------------------------------------------------------------------
 # Loud rejections
 # ----------------------------------------------------------------------
-
-
-def test_stream_mode_rejects_multiple_shards():
-    config = replace(BASE, destination_draws="stream")
-    with pytest.raises(ConfigError, match="stream"):
-        ShardedSimulation(config, num_shards=2)
 
 
 def test_rejects_zero_shards():
@@ -217,8 +247,7 @@ def test_rejects_zero_shards():
 
 
 def test_accepts_read_workload():
-    # Reads resolve into the timeline and shard freely (formerly a
-    # loud ConfigError).
+    # Reads resolve into the timeline (formerly a loud ConfigError).
     config = replace(BASE, reads_per_stripe_per_day=0.5)
     sim = ShardedSimulation(config, num_shards=2)
     assert sim.scheduler is None
@@ -244,21 +273,20 @@ def test_checkpoint_every_days_must_be_positive(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Every shard runs in-process
+# The engine runs in-process
 # ----------------------------------------------------------------------
 
 
 def test_sharded_engine_never_starts_a_process(monkeypatch, capsys):
-    """One shard by default; four shards on the plain, throttled and d3
-    configs match the oracle without a process start; the CLI's sharded
-    engine completes; a worker request is a loud ConfigError."""
+    """num_shards=4 on the plain, throttled and d3 configs matches the
+    oracle without a process start; the CLI's sharded engine
+    completes; a worker request is a loud ConfigError."""
 
     def refuse(self):
         raise AssertionError("the sharded engine started a process")
 
     # Every Process class (fork, spawn, forkserver) inherits this start.
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-    assert ShardedSimulation(BASE).num_shards == 1
     for config in (
         BASE,
         replace(BASE, recovery_bandwidth_bytes_per_sec=1e9),

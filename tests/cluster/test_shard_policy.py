@@ -1,11 +1,13 @@
-"""Sharded-engine exactness under the repair-policy scheduler.
+"""Epoch-engine exactness under the repair-policy scheduler.
 
 The contract this file pins: any repair-policy config (throttled pipe,
 priority/lazy queues, per-link model, hot spares, read workloads) run
-through :class:`ShardedSimulation` -- at any shard count -- produces
-counters *field-by-field identical* to the serial
-:class:`WarehouseSimulation` oracle, and a checkpoint taken with a
-non-empty repair queue resumes bit-identically.
+through :class:`ShardedSimulation` produces counters *field-by-field
+identical* to the serial :class:`WarehouseSimulation` oracle, and a
+checkpoint taken with a non-empty repair queue resumes bit-identically.
+The engine keeps one stripe store; tests that pass several
+``num_shards`` values check that the ignored keyword changes nothing
+(the oracle runs once per config).
 """
 
 import os
@@ -100,8 +102,14 @@ def fingerprint(result):
     return d
 
 
-def assert_matches_oracle(config, num_shards):
-    serial = fingerprint(WarehouseSimulation(config).run())
+_ORACLE = {}
+
+
+def assert_matches_oracle(config, num_shards=1):
+    key = repr(config)
+    if key not in _ORACLE:
+        _ORACLE[key] = fingerprint(WarehouseSimulation(config).run())
+    serial = _ORACLE[key]
     sharded = fingerprint(
         ShardedSimulation(config, num_shards=num_shards).run()
     )
@@ -112,7 +120,7 @@ def assert_matches_oracle(config, num_shards):
 
 
 # ----------------------------------------------------------------------
-# Oracle equality: code families x shard counts
+# Oracle equality: code families (x the ignored num_shards keyword)
 # ----------------------------------------------------------------------
 
 
@@ -126,7 +134,7 @@ def test_throttled_matches_oracle(code_name, num_shards):
 @pytest.mark.parametrize("code_name", ["rs", "piggyback", "lrc"])
 def test_full_policy_matches_oracle(code_name):
     config = with_code(FULL_POLICY, code_name)
-    assert_matches_oracle(config, num_shards=3)
+    assert_matches_oracle(config)
 
 
 def test_full_policy_matches_oracle_four_shards():
@@ -135,7 +143,7 @@ def test_full_policy_matches_oracle_four_shards():
 
 @pytest.mark.parametrize("num_shards", [1, 3, 4])
 def test_reads_match_oracle_without_scheduler(num_shards):
-    # Reads execute on the owning shard when no scheduler runs.
+    # Reads execute in the store's epoch loop when no scheduler runs.
     config = replace(BASE, reads_per_stripe_per_day=0.05)
     assert_matches_oracle(config, num_shards)
 
@@ -149,14 +157,14 @@ def test_lazy_priority_without_link_matches_oracle():
         lazy_repair=True,
         lazy_repair_delay_seconds=600.0,
     )
-    assert_matches_oracle(config, num_shards=2)
+    assert_matches_oracle(config)
 
 
 def test_spares_with_throttle_match_oracle():
     config = replace(
         THROTTLED, hot_spares_per_rack=2, reads_per_stripe_per_day=0.02
     )
-    assert_matches_oracle(config, num_shards=3)
+    assert_matches_oracle(config)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +222,7 @@ BACKLOG = replace(
 def test_checkpoint_mid_queue_resumes_bit_identical(tmp_path):
     serial = fingerprint(WarehouseSimulation(BACKLOG).run())
     path = os.path.join(tmp_path, "ckpt.npz")
-    sim = ShardedSimulation(BACKLOG, num_shards=3, checkpoint_path=path)
+    sim = ShardedSimulation(BACKLOG, checkpoint_path=path)
     assert sim.run(stop_after_day=2) is None
     # The contract needs a non-trivial queue at the cut.
     assert sim.scheduler.depth > 0
@@ -227,7 +235,7 @@ def test_checkpoint_missing_scheduler_state_is_loud(tmp_path):
     from repro.errors import CheckpointError
 
     path = os.path.join(tmp_path, "ckpt.npz")
-    sim = ShardedSimulation(BACKLOG, num_shards=2, checkpoint_path=path)
+    sim = ShardedSimulation(BACKLOG, checkpoint_path=path)
     sim.run(stop_after_day=1)
     data = load_checkpoint(path)
     data.scheduler_state = None
@@ -256,9 +264,9 @@ def test_checkpoint_sweep_resumes_identical(tmp_path, seed, code_name, stop_day)
         nodes_per_rack=5,
         stripes_per_node=12.0,
     )
-    straight = fingerprint(ShardedSimulation(config, num_shards=2).run())
+    straight = fingerprint(ShardedSimulation(config).run())
     path = os.path.join(tmp_path, f"ckpt-{seed}-{code_name}-{stop_day}.npz")
-    ShardedSimulation(config, num_shards=2, checkpoint_path=path).run(
+    ShardedSimulation(config, checkpoint_path=path).run(
         stop_after_day=stop_day
     )
     resumed = fingerprint(ShardedSimulation.resume(path).run())

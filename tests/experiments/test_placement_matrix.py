@@ -26,9 +26,6 @@ class TestPlacementMatrix:
         rows = ablation.tables["placements"]
         assert all(row["oracle"] is True for row in rows)
 
-    def test_sharded_partitioning_invariance(self, ablation):
-        assert ablation.data["shard_invariant"] is True
-
     def test_d3_rack_load_spread_within_ten_percent(self, ablation):
         spreads = ablation.data["load_spreads"]
         assert spreads["d3_serial"] <= 1.1
